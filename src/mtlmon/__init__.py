@@ -27,8 +27,6 @@ from .formula import (
     TrueConst,
     Until,
     constant_fold,
-    horizon,
-    min_head,
     parse,
     pretty,
     semantic_future,
@@ -48,7 +46,7 @@ __all__ = [
     "PeConfig", "ProtocolError", "QConfig", "QueOverflowError", "RunReport",
     "Trace", "TraceError", "TrueConst", "Until", "check_formula",
     "compile_formula", "constant_fold", "decode_file", "decode_program",
-    "encode_file", "encode_program", "horizon", "make_trace", "min_head",
-    "oracle_verdicts", "parse", "pretty", "read_trace", "run_fuzz",
-    "satisfies", "semantic_future", "write_trace",
+    "encode_file", "encode_program", "make_trace", "oracle_verdicts", "parse",
+    "pretty", "read_trace", "run_fuzz", "satisfies", "semantic_future",
+    "write_trace",
 ]

@@ -67,16 +67,12 @@ class BitReader:
         return value
 
 
-def _interval_widths(cfg: FabricConfig) -> int:
-    return ceil_log2(cfg.q_sz)
-
-
 def encode_program(prog: MonitorProgram) -> bytes:
     """Pack the body bits (no header), zero-padded to a whole byte."""
     cfg = prog.config
     w_q = ceil_log2(cfg.n_q)
     w_pe = ceil_log2(cfg.n_pe)
-    w_sz = _interval_widths(cfg)
+    w_sz = ceil_log2(cfg.q_sz)
     w_ap = ceil_log2(cfg.n_ap)
     out = BitWriter()
     for pid, pe in enumerate(prog.pes):
@@ -109,7 +105,7 @@ def decode_program(data: bytes, cfg: FabricConfig) -> MonitorProgram:
         )
     w_q = ceil_log2(cfg.n_q)
     w_pe = ceil_log2(cfg.n_pe)
-    w_sz = _interval_widths(cfg)
+    w_sz = ceil_log2(cfg.q_sz)
     w_ap = ceil_log2(cfg.n_ap)
     r = BitReader(data)
     pes = []
@@ -145,7 +141,10 @@ def decode_program(data: bytes, cfg: FabricConfig) -> MonitorProgram:
         if r.read(1):
             raise BitstreamError("nonzero padding bits")
     pes_t, qs_t = tuple(pes), tuple(qs)
-    return MonitorProgram(cfg, pes_t, qs_t, tuple(routes), derive_latency(pes_t, qs_t))
+    latency = derive_latency(pes_t, qs_t)
+    if sum(q.is_active and q.is_verdict for q in qs) > 1:
+        raise BitstreamError("more than one active verdict que")
+    return MonitorProgram(cfg, pes_t, qs_t, tuple(routes), latency)
 
 
 def encode_file(prog: MonitorProgram) -> bytes:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import formula as F
 from .errors import AllocationError
-from .machine import EvaluatorMachine, em_build
+from .machine import EvaluatorMachine, em_build, min_head
 from .program import (
     EMPTY_INTERVAL,
     FabricConfig,
@@ -22,6 +22,7 @@ from .program import (
     MonitorProgram,
     PeConfig,
     QConfig,
+    derive_latency,
     is_empty,
 )
 
@@ -97,9 +98,7 @@ class EmNode:
 
     @property
     def min_head(self) -> int:
-        if self.kind in ("box", "diamond", "until"):
-            return self.interval[1] + 1
-        return 2 if self.kind == "next" else 1
+        return min_head(self.kind, self.interval)
 
     def children(self) -> list["EmNode"]:
         return [op for op in self.operands if isinstance(op, EmNode)]
@@ -160,18 +159,6 @@ def compute_heads(node: EmNode) -> tuple[int, int]:
     return node.head, node.height
 
 
-def recompute_heights(node: EmNode) -> int:
-    """Refresh heights from the current heads without rebalancing.
-
-    Used after heads are forced by hand; a binary node over unequal
-    children takes the taller one, which is when its first output can
-    possibly appear.
-    """
-    child_heights = [recompute_heights(c) for c in node.children()]
-    node.height = node.head + 1 + (max(child_heights) if child_heights else 0)
-    return node.height
-
-
 def bfs_order(root: EmNode) -> list[EmNode]:
     """Level order from the root; assigns em_index 1, 2, ... as it goes."""
     order = [root]
@@ -186,7 +173,8 @@ def bfs_order(root: EmNode) -> list[EmNode]:
 
 def force_heads(root: EmNode, forced: dict[int, int]) -> None:
     """Override chosen heads by em_index (debugging aid for mis-balanced
-    monitors); heights are refreshed without rebalancing."""
+    monitors). Nothing is rebalanced, and the node heights keep their
+    balanced values: ``allocate`` derives the latency from the records."""
     nodes = {node.em_index: node for node in bfs_order(root)}
     for em_index, head in forced.items():
         if em_index not in nodes:
@@ -197,7 +185,6 @@ def force_heads(root: EmNode, forced: dict[int, int]) -> None:
                 f"forced head {head} below minimum {node.min_head} for node {em_index}"
             )
         node.head = head
-    recompute_heights(root)
 
 
 def plan(f: F.Formula) -> EmNode:
@@ -300,7 +287,8 @@ def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
             reader_pe, inp_no = primary[node.q_id]
             qs[node.q_id] = QConfig(True, False, reader_pe, inp_no, node.head)
 
-    return MonitorProgram(cfg, tuple(pes), tuple(qs), tuple(routes), root.height)
+    pes_t, qs_t = tuple(pes), tuple(qs)
+    return MonitorProgram(cfg, pes_t, qs_t, tuple(routes), derive_latency(pes_t, qs_t))
 
 
 def compile_formula(

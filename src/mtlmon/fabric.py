@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 from .bitstream import decode_program
 from .errors import AllocationError, HardFault, ProtocolError, TraceError
-from .machine import MAYBE
+from .machine import MAYBE, am_result
 from .program import (
     FabricConfig,
     MonitorProgram,
@@ -43,13 +43,10 @@ from .program import (
     derive_latency,
     is_empty,
     resolve_operands,
+    slot_from_que,
 )
 
 Interval = tuple[int, int]
-
-_OP_WIRE, _OP_NOT, _OP_OR, _OP_AND, _OP_IMPLIES = range(5)
-_OP_CODE = {"wire": _OP_WIRE, "not": _OP_NOT, "or": _OP_OR, "and": _OP_AND,
-            "implies": _OP_IMPLIES}
 
 
 def coalesce(postings: list[tuple[Interval, bool]]) -> tuple[Optional[Interval], Optional[Interval]]:
@@ -83,6 +80,7 @@ class Fabric:
 
     def __init__(self, config: FabricConfig):
         self.config = config
+        self._body_bytes = config.body_bytes
         self.mode = "programming"
         self.total_cycles = 0
         self.run_cycle = 0
@@ -111,7 +109,7 @@ class Fabric:
             raise ValueError(f"not a byte: {byte}")
         self._buffer.append(byte)
         self.total_cycles += 1
-        if len(self._buffer) == self.config.body_bytes:
+        if len(self._buffer) == self._body_bytes:
             body = bytes(self._buffer)
             self._buffer.clear()
             self._latch(decode_program(body, self.config))
@@ -122,12 +120,20 @@ class Fabric:
 
     @property
     def programming_cycles(self) -> int:
-        return self.config.body_bytes
+        return self._body_bytes
 
     def _latch(self, program: MonitorProgram) -> None:
+        """Validate the decoded records and latch them as the datapath plan.
+
+        Each active PE becomes one plan entry holding its truth table, built
+        from ``am_result`` over every operand combination: entry v0 for one
+        operand, v0 + 2*v1 for two. Deriving the latency also rejects cyclic
+        que routing.
+        """
         sources = self._validate(program)
+        latency = derive_latency(program.pes, program.qs, sources)
         self.program = program
-        self.latency = derive_latency(program.pes, program.qs, sources)
+        self.latency = latency
         cfg = self.config
         self._plan = []
         for pid, pe in enumerate(program.pes):
@@ -140,8 +146,12 @@ class Fabric:
                     idx[slot] = sources[(pid, slot)]
                 else:
                     idx[slot] = program.routes[pid][slot]
+            if arity == 1:
+                table = (am_result(pe.opcode, False), am_result(pe.opcode, True))
+            else:
+                table = tuple(am_result(pe.opcode, bool(i & 1), bool(i & 2)) for i in range(4))
             self._plan.append((
-                _OP_CODE[pe.opcode],
+                table,
                 arity,
                 pe.op0_from_que,
                 idx[0],
@@ -165,14 +175,15 @@ class Fabric:
         for pid, pe in enumerate(program.pes):
             if not pe.is_active:
                 continue
+            if pe.r_qid >= cfg.n_q:
+                raise AllocationError(f"PE{pid} writes que {pe.r_qid}, n_q={cfg.n_q}")
             if not program.qs[pe.r_qid].is_active:
                 raise AllocationError(f"PE{pid} writes inactive que {pe.r_qid}")
             for name, iv in (("top", pe.top_interval), ("bot", pe.bot_interval)):
                 if not is_empty(iv) and not (0 <= iv[0] <= iv[1] < cfg.q_sz):
                     raise AllocationError(f"PE{pid} {name} interval {iv} exceeds que size")
             for slot in range(OPCODE_ARITY[pe.opcode]):
-                from_que = pe.op0_from_que if slot == 0 else pe.op1_from_que
-                if from_que:
+                if slot_from_que(pe, slot):
                     src = sources[(pid, slot)]
                     if not program.qs[src].is_active:
                         raise AllocationError(
@@ -197,12 +208,11 @@ class Fabric:
                 pe is None
                 or not pe.is_active
                 or slot >= OPCODE_ARITY[pe.opcode]
-                or not (pe.op0_from_que if slot == 0 else pe.op1_from_que)
+                or not slot_from_que(pe, slot)
             ):
                 raise AllocationError(
                     f"Q{qid} names reader PE{pid}.{slot}, which does not take que input"
                 )
-        derive_latency(program.pes, program.qs, sources)  # rejects cycles
         return sources
 
     # -- datapath ------------------------------------------------------------
@@ -219,7 +229,7 @@ class Fabric:
         delivered = self._delivered
         postings: dict[int, list] = {}
         driven: set[int] = set()
-        for op, arity, q0, r0, q1, r1, top, bot, rqid in self._plan:
+        for table, arity, q0, r0, q1, r1, top, bot, rqid in self._plan:
             v0 = delivered[r0] if q0 else ap_values[r0]
             if v0 is None:
                 continue
@@ -227,14 +237,9 @@ class Fabric:
                 v1 = delivered[r1] if q1 else ap_values[r1]
                 if v1 is None:
                     continue
-                if op == _OP_OR:
-                    res = bool(v0 or v1)
-                elif op == _OP_AND:
-                    res = bool(v0 and v1)
-                else:  # implies
-                    res = bool((not v0) or v1)
+                res = table[v0 + 2 * v1]
             else:
-                res = bool(not v0) if op == _OP_NOT else bool(v0)
+                res = table[v0]
             driven.add(rqid)
             interval = top if res else bot
             if interval is not None:

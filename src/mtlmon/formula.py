@@ -1,5 +1,5 @@
-"""Bounded discrete-time MTL formulas: AST, parser, printer, and the static
-metrics the rest of the toolchain needs.
+"""Bounded discrete-time MTL formulas: AST, parser, printer, constant
+folding, and the semantic lookahead the reference evaluator needs.
 
 Concrete syntax
 ---------------
@@ -9,13 +9,11 @@ Concrete syntax
     precedence  {!, X, G, F}  >  U  >  &  >  |  >  ->
     grouping    ( ... );  -> and U associate to the right
 
-Interval bounds are non-negative integers with a <= b (b finite). Two static
-metrics live here:
-
-* ``horizon`` -- the pipeline-latency recursion (+1 per operator level);
-  used for reporting only.
-* ``semantic_future`` -- how many future events a verdict actually depends
-  on; defines the range of trace positions on which a verdict is determined.
+Interval bounds are non-negative integers with a <= b (b finite).
+``semantic_future`` counts how many future events a verdict depends on; it
+defines the range of trace positions on which a verdict is determined. The
+operator minimum heads and the monitor latency belong to the hardware and
+live in ``machine.min_head`` and ``program.derive_latency``.
 """
 
 from __future__ import annotations
@@ -128,51 +126,13 @@ def ap_indices(f: Formula) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
-# Static metrics
+# Semantic lookahead
 # ---------------------------------------------------------------------------
-
-def horizon(f: Formula) -> int:
-    """Steps until the monitor pipeline can emit the verdict.
-
-    Charges +1 per Boolean operator (pipeline stage), +2 for next, and
-    hi+1 for interval operators. Reporting metric only; see
-    ``semantic_future`` for the semantic lookahead.
-    """
-    if isinstance(f, (TrueConst, AP)):
-        return 0
-    if isinstance(f, Not):
-        return 1 + horizon(f.child)
-    if isinstance(f, (And, Or, Implies)):
-        return 1 + max(horizon(f.left), horizon(f.right))
-    if isinstance(f, Next):
-        return 2 + horizon(f.child)
-    if isinstance(f, Until):
-        return f.hi + 1 + max(horizon(f.left), horizon(f.right))
-    if isinstance(f, (Box, Diamond)):
-        return f.hi + 1 + horizon(f.child)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def min_head(f: Formula) -> int:
-    """Minimum que deletion index for the operator at the root of f.
-
-    1 for Boolean connectives, 2 for next, hi+1 for interval operators.
-    Undefined on atoms.
-    """
-    if isinstance(f, (Not, And, Or, Implies)):
-        return 1
-    if isinstance(f, Next):
-        return 2
-    if isinstance(f, (Box, Diamond, Until)):
-        return f.hi + 1
-    raise ValueError(f"atoms have no operator latency: {f!r}")
-
 
 def semantic_future(f: Formula) -> int:
     """Number of future events a verdict at time i depends on.
 
-    The verdict for time i is fully determined by events i .. i+N; unlike
-    ``horizon`` there is no per-operator pipeline charge.
+    The verdict for time i is fully determined by events i .. i+N.
     """
     if isinstance(f, (TrueConst, AP)):
         return 0

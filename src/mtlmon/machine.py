@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import HardFault, QueOverflowError
+from .program import OPCODE_ARITY
 
 
 class _MaybeType:
@@ -31,32 +32,30 @@ MAYBE = _MaybeType()
 
 Interval = tuple[int, int]
 
-OPCODES = ("wire", "not", "or", "and", "implies")
-
 
 def am_result(opcode: str, op0: bool, op1: Optional[bool] = None) -> bool:
     """The boolean result an abstract machine computes from its operands."""
+    if opcode not in OPCODE_ARITY:
+        raise ValueError(f"unknown opcode {opcode!r}")
+    if OPCODE_ARITY[opcode] != (1 if op1 is None else 2):
+        raise ValueError(f"opcode {opcode!r} takes {OPCODE_ARITY[opcode]} operand(s)")
     if opcode == "not":
-        _require_arity(opcode, op1, binary=False)
         return not op0
     if opcode == "wire":
-        _require_arity(opcode, op1, binary=False)
         return op0
-    _require_arity(opcode, op1, binary=True)
     if opcode == "and":
         return op0 and op1
     if opcode == "or":
         return op0 or op1
-    if opcode == "implies":
-        return (not op0) or op1
-    raise ValueError(f"unknown opcode {opcode!r}")
+    return (not op0) or op1
 
 
-def _require_arity(opcode: str, op1, binary: bool) -> None:
-    if binary and op1 is None:
-        raise ValueError(f"opcode {opcode!r} needs a second operand")
-    if not binary and op1 is not None:
-        raise ValueError(f"opcode {opcode!r} takes a single operand")
+def min_head(kind: str, interval: Optional[Interval] = None) -> int:
+    """Minimum que head of the EM realizing one operator: 1 for the Boolean
+    connectives and the wire, 2 for next, t2+1 for interval operators."""
+    if kind in ("box", "diamond", "until"):
+        return interval[1] + 1
+    return 2 if kind == "next" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -171,24 +170,19 @@ def em_build(kind: str, head: int, interval: Optional[Interval] = None) -> Evalu
         raise ValueError(f"{kind} takes no interval")
 
     if kind in ("not", "and", "or", "implies", "wire"):
-        lo_head = 1
         opcode = "wire" if kind == "wire" else kind
         arity = 2 if kind in ("and", "or", "implies") else 1
         ams = (AmProgram(opcode, 0, 1 if arity == 2 else None, (0, 0), (0, 0), True, True),)
     elif kind == "next":
-        lo_head = 2
         arity = 1
         ams = (AmProgram("wire", 0, None, (1, 1), (1, 1), True, True),)
     elif kind == "box":
-        lo_head = t2 + 1
         arity = 1
         ams = (AmProgram("wire", 0, None, (t2, t2), (t1, t2), True, True),)
     elif kind == "diamond":
-        lo_head = t2 + 1
         arity = 1
         ams = (AmProgram("wire", 0, None, (t1, t2), (t2, t2), True, True),)
     elif kind == "until":
-        lo_head = t2 + 1
         arity = 2
         if t1 >= 1:
             ams = (
@@ -204,6 +198,7 @@ def em_build(kind: str, head: int, interval: Optional[Interval] = None) -> Evalu
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
 
+    lo_head = min_head(kind, interval)
     if head < lo_head:
         raise ValueError(f"head {head} below the minimum {lo_head} for {kind}")
     return EvaluatorMachine(kind, ams, head, lo_head, arity)

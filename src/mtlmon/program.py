@@ -128,7 +128,8 @@ class MonitorProgram:
         return None
 
 
-def _slot_from_que(pe: PeConfig, slot: int) -> bool:
+def slot_from_que(pe: PeConfig, slot: int) -> bool:
+    """Whether operand port slot of pe reads a que (else the AP bus)."""
     return pe.op0_from_que if slot == 0 else pe.op1_from_que
 
 
@@ -164,7 +165,7 @@ def resolve_operands(
         return [
             slot
             for slot in range(OPCODE_ARITY[pe.opcode])
-            if _slot_from_que(pe, slot) and (pid, slot) not in sources
+            if slot_from_que(pe, slot) and (pid, slot) not in sources
         ]
 
     for members in groups.values():
@@ -203,30 +204,36 @@ def derive_latency(
     """
     if sources is None:
         sources = resolve_operands(pes, qs)
-    writers: dict[int, list[int]] = {}
+    # feeds[q]: the ques read by the PEs that write q.
+    feeds: dict[int, list[int]] = {}
     for pid, pe in enumerate(pes):
         if pe.is_active:
-            writers.setdefault(pe.r_qid, []).append(pid)
-
-    heights: dict[int, int] = {}
-    in_progress: set[int] = set()
-
-    def height(qid: int) -> int:
-        if qid in heights:
-            return heights[qid]
-        if qid in in_progress:
-            raise AllocationError("cyclic que routing")
-        in_progress.add(qid)
-        depth = 0
-        for pid in writers.get(qid, ()):
-            for slot in range(OPCODE_ARITY[pes[pid].opcode]):
-                if _slot_from_que(pes[pid], slot) and (pid, slot) in sources:
-                    depth = max(depth, height(sources[(pid, slot)]))
-        in_progress.discard(qid)
-        heights[qid] = qs[qid].head + 1 + depth
-        return heights[qid]
-
+            for slot in range(OPCODE_ARITY[pe.opcode]):
+                if slot_from_que(pe, slot) and (pid, slot) in sources:
+                    feeds.setdefault(pe.r_qid, []).append(sources[(pid, slot)])
     for qid, q in enumerate(qs):
         if q.is_active and q.is_verdict:
-            return height(qid)
+            return _height(qid, qs, feeds, {}, set())
     return 0
+
+
+def _height(
+    qid: int, qs: tuple[QConfig, ...], feeds: dict[int, list[int]],
+    heights: dict[int, int], visiting: set[int],
+) -> int:
+    """height(q) = head + 1 + the tallest que in feeds[q], memoized.
+
+    A module-level function, not a closure: a closure that calls itself is
+    a reference cycle, left for the garbage collector on every call.
+    """
+    if qid not in heights:
+        if qid in visiting:
+            raise AllocationError("cyclic que routing")
+        visiting.add(qid)
+        depth = max(
+            (_height(src, qs, feeds, heights, visiting) for src in feeds.get(qid, ())),
+            default=0,
+        )
+        visiting.discard(qid)
+        heights[qid] = qs[qid].head + 1 + depth
+    return heights[qid]

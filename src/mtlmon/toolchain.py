@@ -93,6 +93,14 @@ def expected_emission(n_events: int, latency: int) -> range:
     return range(0, max(0, n_events - latency + 1))
 
 
+def _diff_program(
+    verdicts: list[tuple[int, bool]], reference: list[bool], n_events: int, latency: int
+) -> list[Mismatch]:
+    """Mismatches of a monitor's stream over n events against the reference,
+    on the schedule a monitor of this latency must emit."""
+    return diff_verdicts(verdicts, reference, expected_emission(n_events, latency))
+
+
 def check_formula(
     f: F.Formula | str,
     config: FabricConfig,
@@ -111,7 +119,7 @@ def check_formula(
         mism = diff_verdicts(verdicts, reference, times)
         return RunReport(text, config, 0, verdicts, mism, 0, len(trace), constant=compiled)
     verdicts, fabric = run_program(compiled, trace)
-    mism = diff_verdicts(verdicts, reference, expected_emission(len(trace), compiled.latency))
+    mism = _diff_program(verdicts, reference, len(trace), compiled.latency)
     return RunReport(
         text, config, compiled.latency, verdicts, mism,
         fabric.programming_cycles, len(trace),
@@ -254,38 +262,24 @@ def run_fuzz(
     summary = FuzzSummary(iterations=count, passes=0)
     for it in range(count):
         problems: list[str] = []
-
-        first, first_prog = random_fitting_formula(rng, max_depth, max_t2, config, ap_pool)
-        first_trace = random_trace(rng, trace_len, config.n_ap)
-        reference = oracle_verdicts(first, first_trace)
         fabric = Fabric(config)
-        fabric.load(encode_program(first_prog))
-        verdicts = stream_trace(fabric, first_trace)
-        mism = diff_verdicts(verdicts, reference, expected_emission(trace_len, first_prog.latency))
-        if mism:
-            problems.append(f"iter {it}: {F.pretty(first)}: first mismatch {mism[0]}")
-        if not _throughput_ok(verdicts, trace_len, first_prog.latency):
-            summary.throughput_violations += 1
-            problems.append(f"iter {it}: {F.pretty(first)}: broken emission schedule")
-
-        second, second_prog = random_fitting_formula(rng, max_depth, max_t2, config, ap_pool)
-        second_trace = random_trace(rng, trace_len, config.n_ap)
-        fabric.begin_reprogram()
-        fabric.load(encode_program(second_prog))
-        after = stream_trace(fabric, second_trace)
-        fresh, _ = run_program(second_prog, second_trace)
-        if after != fresh:
-            summary.reprogram_divergences += 1
-            problems.append(f"iter {it}: {F.pretty(second)}: reprogram differs from fresh fabric")
-        mism2 = diff_verdicts(
-            after, oracle_verdicts(second, second_trace),
-            expected_emission(trace_len, second_prog.latency),
-        )
-        if mism2:
-            problems.append(f"iter {it}: {F.pretty(second)}: first mismatch {mism2[0]}")
-        if not _throughput_ok(after, trace_len, second_prog.latency):
-            summary.throughput_violations += 1
-            problems.append(f"iter {it}: {F.pretty(second)}: broken emission schedule")
+        for reprogrammed in (False, True):
+            f, program = random_fitting_formula(rng, max_depth, max_t2, config, ap_pool)
+            trace = random_trace(rng, trace_len, config.n_ap)
+            name = f"iter {it}: {F.pretty(f)}"
+            if reprogrammed:
+                fabric.begin_reprogram()
+            fabric.load(encode_program(program))
+            verdicts = stream_trace(fabric, trace)
+            if reprogrammed and verdicts != run_program(program, trace)[0]:
+                summary.reprogram_divergences += 1
+                problems.append(f"{name}: reprogram differs from fresh fabric")
+            mism = _diff_program(verdicts, oracle_verdicts(f, trace), trace_len, program.latency)
+            if mism:
+                problems.append(f"{name}: first mismatch {mism[0]}")
+            if not _throughput_ok(verdicts, trace_len, program.latency):
+                summary.throughput_violations += 1
+                problems.append(f"{name}: broken emission schedule")
 
         if problems:
             summary.failures.extend(problems)

@@ -1,11 +1,18 @@
+import dataclasses
 import random
 
 from hypothesis import strategies as st
 
 from mtlmon import formula as F
-from mtlmon.trace import Trace, make_trace
+from mtlmon.bitstream import encode_program
+from mtlmon.compiler import compile_formula
+from mtlmon.program import FabricConfig
 
 MAX_T2 = 6
+
+# n_q = 6 is not a power of two, so the 3-bit que-id fields can name ques
+# the fabric does not have.
+HOSTILE_CFG = FabricConfig(5, 6, 3, 12)
 
 
 def interval_strategy():
@@ -64,7 +71,18 @@ def random_mixed_formula(rng: random.Random, depth: int, max_t2: int = 4,
     return sprinkle(f)
 
 
-def random_bool_trace(rng: random.Random, length: int, width: int) -> Trace:
-    return make_trace(
-        [[rng.random() < 0.5 for _ in range(width)] for _ in range(length)]
-    )
+def second_verdict_body() -> bytes:
+    """The body of !ap0 on HOSTILE_CFG with que 1 also marked active and verdict."""
+    cfg = HOSTILE_CFG
+    body = bytearray(encode_program(compile_formula(F.parse("!ap0"), cfg)))
+    q1 = cfg.n_pe * cfg.pe_bits + cfg.q_bits  # first bit of que record 1
+    for bit in (q1, q1 + 1):  # isActive, isVerdict
+        body[bit // 8] |= 0x80 >> (bit % 8)
+    return bytes(body)
+
+
+def stray_writer_body() -> bytes:
+    """The body of !ap0 on HOSTILE_CFG with PE0 writing que 7 (n_q is 6)."""
+    program = compile_formula(F.parse("!ap0"), HOSTILE_CFG)
+    pes = (dataclasses.replace(program.pes[0], r_qid=7),) + program.pes[1:]
+    return encode_program(dataclasses.replace(program, pes=pes))

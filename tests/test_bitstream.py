@@ -1,7 +1,10 @@
+import gc
+import hashlib
 import random
 
 import pytest
 
+from conftest import HOSTILE_CFG, second_verdict_body
 from mtlmon import formula as F
 from mtlmon.bitstream import (
     decode_file,
@@ -11,8 +14,8 @@ from mtlmon.bitstream import (
 )
 from mtlmon.compiler import compile_formula
 from mtlmon.errors import AllocationError, BitstreamError
-from mtlmon.program import FabricConfig, ceil_log2
-from mtlmon.toolchain import random_formula
+from mtlmon.program import FabricConfig, ceil_log2, derive_latency
+from mtlmon.toolchain import DEFAULT_CONFIG, random_formula
 
 
 def test_ceil_log2():
@@ -122,3 +125,42 @@ def test_header_validation():
 def test_decoded_latency_matches_compiler():
     program = compile_formula(F.parse("F[0,1] !ap1 | F[1,4] ap2"), FabricConfig(8, 8, 4, 16))
     assert decode_program(encode_program(program), program.config).latency == 8
+
+
+def test_second_verdict_que_is_a_bitstream_error():
+    with pytest.raises(BitstreamError, match="verdict que"):
+        decode_program(second_verdict_body(), HOSTILE_CFG)
+
+
+def test_derive_latency_leaves_no_garbage():
+    program = compile_formula(F.parse("F[0,1] !ap1 | F[1,4] ap2"), FabricConfig(8, 8, 4, 16))
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(10):
+            derive_latency(program.pes, program.qs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_fixed_corpus_bytes_and_latencies_are_pinned():
+    # The contract: bitstream bytes and reported latencies of compiled
+    # programs. Any change to either shows up as a different digest.
+    rng = random.Random(2603)
+    digest = hashlib.sha256()
+    programs = 0
+    for cfg in (FabricConfig(8, 8, 4, 16), DEFAULT_CONFIG, FabricConfig(256, 256, 16, 4096)):
+        for _ in range(100):
+            f = random_formula(rng, rng.randint(1, 5), 8)
+            for forced in (None, {1: 10}):
+                try:
+                    p = compile_formula(f, cfg, forced)
+                except AllocationError:
+                    continue
+                digest.update(encode_file(p) + p.latency.to_bytes(4, "big"))
+                programs += 1
+    assert programs == 570
+    assert digest.hexdigest() == (
+        "64a703fbab75595c7b1595e2184591300557bfdc245b2217df9e07e706f0b2db"
+    )

@@ -3,6 +3,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from conftest import HOSTILE_CFG, second_verdict_body, stray_writer_body
+from mtlmon import formula as F
+from mtlmon.bitstream import HEADER_LEN, encode_file
 from mtlmon.cli import (
     EXIT_ALLOC,
     EXIT_IO,
@@ -11,6 +14,7 @@ from mtlmon.cli import (
     EXIT_PARSE,
     main,
 )
+from mtlmon.compiler import compile_formula
 
 FIG_ARGS = ["--npe", "8", "--nq", "8", "--nap", "4", "--qsz", "16"]
 
@@ -128,6 +132,21 @@ def test_run_width_mismatch_without_rows(tmp_path):
     assert code == EXIT_IO
     assert out == ""
     assert "width" in err
+
+
+@pytest.mark.parametrize("body,code,prefix", [
+    (second_verdict_body, EXIT_IO, "i/o error: "),
+    (stray_writer_body, EXIT_ALLOC, "allocation error: "),
+])
+def test_run_rejects_hostile_bitstreams(tmp_path, body, code, prefix):
+    header = encode_file(compile_formula(F.parse("!ap0"), HOSTILE_CFG))[:HEADER_LEN]
+    prog = tmp_path / "hostile.bit"
+    prog.write_bytes(header + body())
+    trace = write_trace_file(tmp_path / "t.csv", HOSTILE_CFG.n_ap, [[1, 0, 0]])
+    got, out, err = run_cli("run", "--prog", str(prog), "--trace", trace)
+    assert got == code
+    assert out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("formula", ["!ap0", "true"])

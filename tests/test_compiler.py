@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from conftest import random_bool_trace
 from mtlmon import formula as F
 from mtlmon.bitstream import encode_program
 from mtlmon.compiler import (
@@ -23,6 +22,7 @@ from mtlmon.toolchain import (
     diff_verdicts,
     expected_emission,
     random_formula,
+    random_trace,
     run_program,
 )
 
@@ -211,7 +211,7 @@ def test_compiled_random_formulas_agree_with_brute_force():
             program = compile_formula(f, cfg)
         except AllocationError:
             continue
-        trace = random_bool_trace(rng, 48, cfg.n_ap)
+        trace = random_trace(rng, 48, cfg.n_ap)
         verdicts, _ = run_program(program, trace)
         assert not diff_verdicts(
             verdicts, oracle_verdicts(f, trace), expected_emission(48, program.latency)

@@ -3,17 +3,18 @@ import random
 
 import pytest
 
-from conftest import random_bool_trace
+from conftest import HOSTILE_CFG, second_verdict_body, stray_writer_body
 from mtlmon import formula as F
 from mtlmon.bitstream import encode_program
 from mtlmon.compiler import compile_formula
-from mtlmon.errors import AllocationError, HardFault, ProtocolError, TraceError
+from mtlmon.errors import AllocationError, BitstreamError, HardFault, ProtocolError, TraceError
 from mtlmon.fabric import Fabric, coalesce
 from mtlmon.oracle import oracle_verdicts
 from mtlmon.program import FabricConfig, QConfig
 from mtlmon.toolchain import (
     diff_verdicts,
     expected_emission,
+    random_trace,
     run_program,
     stream_trace,
 )
@@ -210,10 +211,10 @@ def test_reprogram_behaves_like_fresh_fabric():
     second = compile_formula(F.parse("ap0 | F[1,3] ap1"), cfg)
     fabric = Fabric(cfg)
     fabric.load(encode_program(first))
-    stream_trace(fabric, random_bool_trace(rng, 37, cfg.n_ap))
+    stream_trace(fabric, random_trace(rng, 37, cfg.n_ap))
     fabric.begin_reprogram()
     fabric.load(encode_program(second))
-    tail = random_bool_trace(rng, 41, cfg.n_ap)
+    tail = random_trace(rng, 41, cfg.n_ap)
     replayed = stream_trace(fabric, tail)
     fresh, _ = run_program(second, tail)
     assert replayed == fresh
@@ -224,11 +225,11 @@ def test_verdicts_after_reprogram_match_brute_force():
     f2 = F.parse("ap0 U[0,3] ap1")
     fabric, _ = loaded_fabric("G[0,2] ap0", cfg)
     rng = random.Random(5)
-    stream_trace(fabric, random_bool_trace(rng, 25, cfg.n_ap))
+    stream_trace(fabric, random_trace(rng, 25, cfg.n_ap))
     fabric.begin_reprogram()
     program = compile_formula(f2, cfg)
     fabric.load(encode_program(program))
-    tail = random_bool_trace(rng, 40, cfg.n_ap)
+    tail = random_trace(rng, 40, cfg.n_ap)
     verdicts = stream_trace(fabric, tail)
     assert not diff_verdicts(
         verdicts, oracle_verdicts(f2, tail), expected_emission(40, program.latency)
@@ -245,3 +246,10 @@ def test_half_programmed_fabric_resets_cleanly():
     assert fabric.mode == "running"
     trace = pad([[0, 1], [0, 0]], 8)
     assert stream_trace(fabric, trace) == [(0, False)]
+
+
+def test_hostile_bodies_are_rejected_at_load():
+    with pytest.raises(BitstreamError, match="verdict que"):
+        Fabric(HOSTILE_CFG).load(second_verdict_body())
+    with pytest.raises(AllocationError, match="writes que 7"):
+        Fabric(HOSTILE_CFG).load(stray_writer_body())

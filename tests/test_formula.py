@@ -55,28 +55,6 @@ def test_implies_right_associative():
     assert f == F.Implies(F.AP(0), F.Implies(F.AP(1), F.AP(2)))
 
 
-def test_horizon_base_cases():
-    assert F.horizon(F.AP(0)) == 0
-    assert F.horizon(F.TrueConst()) == 0
-    assert F.horizon(F.Not(F.AP(0))) == 1
-
-
-def test_horizon_of_disjunction_example():
-    # 1 + max(1+1+1, 4+1+0) by the recursion
-    f = F.parse("F[0,1] !ap1 | F[1,4] ap2")
-    assert F.horizon(f) == 6
-
-
-def test_min_head_per_operator():
-    assert F.min_head(F.Not(F.AP(0))) == 1
-    assert F.min_head(F.And(F.AP(0), F.AP(1))) == 1
-    assert F.min_head(F.Next(F.AP(0))) == 2
-    assert F.min_head(F.Until(F.AP(0), F.AP(1), 0, 2)) == 3
-    assert F.min_head(F.Box(F.AP(0), 1, 4)) == 5
-    with pytest.raises(ValueError):
-        F.min_head(F.AP(0))
-
-
 def test_semantic_future_examples():
     assert F.semantic_future(F.AP(0)) == 0
     assert F.semantic_future(F.Next(F.AP(0))) == 1
@@ -96,12 +74,6 @@ def test_until_lookahead_is_tight():
         base = satisfies(f, make_trace(rows), 0)
         for suffix in product([0, 1], repeat=2):
             assert satisfies(f, make_trace(rows + [suffix]), 0) == base
-
-
-@given(formulas())
-@settings(max_examples=300)
-def test_horizon_dominates_semantic_future(f):
-    assert F.horizon(f) >= F.semantic_future(f)
 
 
 @given(formulas())

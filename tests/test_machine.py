@@ -15,6 +15,7 @@ from mtlmon.machine import (
     em_step,
     em_step_trace,
     empty_que,
+    min_head,
     que_add,
     que_del,
     que_modify,
@@ -101,6 +102,14 @@ def test_am_result_arity_errors():
 
 
 # -- machine building (one row per operator) ----------------------------------
+
+def test_min_head_per_operator():
+    assert min_head("not") == 1
+    assert min_head("and") == 1
+    assert min_head("next") == 2
+    assert min_head("until", (0, 2)) == 3
+    assert min_head("box", (1, 4)) == 5
+
 
 def test_build_box():
     em = em_build("box", 5, (1, 4))
@@ -289,7 +298,7 @@ SINGLE_OPS = [
 @pytest.mark.parametrize("kind,interval,f", SINGLE_OPS)
 def test_stable_cell_equals_brute_force(kind, interval, f):
     """Cell l of the que at step i holds the verdict for time i - l."""
-    latency = F.min_head(f)
+    latency = min_head(kind, interval)
     head = latency + 2  # keep cell l alive after the deletion
     rng = random.Random(hash(kind) & 0xFFFF | 1)
     for _ in range(30):
@@ -310,7 +319,7 @@ def test_stable_cell_equals_brute_force(kind, interval, f):
 @pytest.mark.parametrize("kind,interval,f", SINGLE_OPS)
 def test_verdicts_never_change_once_given(kind, interval, f):
     # pre-deletion snapshots so the whole k range up to head - l is visible
-    latency = F.min_head(f)
+    latency = min_head(kind, interval)
     head = latency + 3
     em = em_build(kind, head, interval)
     rng = random.Random(0xBEEF)

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import formulas, random_bool_trace, random_mixed_formula
+from conftest import formulas, random_mixed_formula
 from mtlmon import formula as F
 from mtlmon.errors import TraceError
 from mtlmon.oracle import oracle_verdicts, satisfies
+from mtlmon.toolchain import random_trace
 from mtlmon.trace import make_trace
 
 
@@ -58,7 +59,7 @@ def test_verdict_ignores_events_beyond_lookahead():
     for _ in range(200):
         f = random_mixed_formula(rng, depth=3, true_prob=0.0)
         n = F.semantic_future(f)
-        tr = random_bool_trace(rng, n + 6, 4)
+        tr = random_trace(rng, n + 6, 4)
         verdicts = oracle_verdicts(f, tr)
         for i in (0, len(verdicts) - 1):
             prefix = tr.events[: i + n + 1]
@@ -74,7 +75,7 @@ def test_fold_preserves_verdicts_on_defined_range():
     rng = random.Random(5)
     for _ in range(1000):
         f = random_mixed_formula(rng, depth=3)
-        tr = random_bool_trace(rng, 24, 4)
+        tr = random_trace(rng, 24, 4)
         reference = oracle_verdicts(f, tr)
         folded = F.constant_fold(f)
         if isinstance(folded, bool):
