@@ -17,6 +17,40 @@ from mtlmon.errors import AllocationError, BitstreamError
 from mtlmon.program import FabricConfig, ceil_log2, derive_latency
 from mtlmon.toolchain import DEFAULT_CONFIG, random_formula
 
+# Programs whose bodies, with a few bits flipped, seed the hostile-body corpus.
+SEED_FORMULAS = (
+    "!ap0", "ap0 & ap1", "X X ap1", "ap0 U[0,2] ap1", "ap1 U[1,3] !ap0",
+    "F[0,1] !ap1 | F[1,4] ap0", "G[0,3] (ap0 -> X ap1)",
+)
+
+
+def random_bodies(rng: random.Random, cfg: FabricConfig, count: int):
+    """Seeded bodies for cfg, in turn: uniform random bytes, sparse random
+    bits (most records inactive), and compiled bodies with 1-3 bits flipped.
+    Half of the random ones get their padding cleared, so they reach the
+    record checks behind it."""
+    seeds = []
+    for text in SEED_FORMULAS:
+        try:
+            seeds.append(encode_program(compile_formula(F.parse(text), cfg)))
+        except AllocationError:
+            pass
+    pad = cfg.body_bytes * 8 - cfg.body_bits
+    for i in range(count):
+        if i % 3 == 2:
+            body = bytearray(rng.choice(seeds))
+            for _ in range(rng.randint(1, 3)):
+                bit = rng.randrange(cfg.body_bits)
+                body[bit // 8] ^= 0x80 >> (bit % 8)
+        else:
+            p = 0.5 if i % 3 == 0 else 0.04
+            body = bytearray(
+                sum((rng.random() < p) << b for b in range(8)) for _ in range(cfg.body_bytes)
+            )
+            if pad and rng.random() < 0.5:
+                body[-1] &= 0xFF << pad & 0xFF
+        yield bytes(body)
+
 
 def test_ceil_log2():
     assert [ceil_log2(n) for n in (1, 2, 3, 4, 5, 8, 9, 256)] == [0, 1, 2, 2, 3, 3, 4, 8]
@@ -163,4 +197,29 @@ def test_fixed_corpus_bytes_and_latencies_are_pinned():
     assert programs == 570
     assert digest.hexdigest() == (
         "64a703fbab75595c7b1595e2184591300557bfdc245b2217df9e07e706f0b2db"
+    )
+
+
+def test_decode_outcomes_of_hostile_bodies_are_pinned():
+    # Whatever decode_program makes of an arbitrary body is part of the
+    # contract: the program (re-encoded) and its latency, or the error
+    # class and message. Any change to either shows up as a different digest.
+    rng = random.Random(2604)
+    digest = hashlib.sha256()
+    decoded = []
+    for cfg in (HOSTILE_CFG, FabricConfig(8, 8, 4, 16), FabricConfig(3, 3, 2, 5), DEFAULT_CONFIG):
+        ok = 0
+        for body in random_bodies(rng, cfg, 3000):
+            try:
+                p = decode_program(body, cfg)
+            except Exception as exc:  # pin whatever escapes, whatever its class
+                outcome = f"{type(exc).__name__}: {exc}"
+            else:
+                outcome = f"{encode_program(p).hex()} {p.latency}"
+                ok += 1
+            digest.update(outcome.encode() + b"\n")
+        decoded.append(ok)
+    assert decoded == [1800, 1870, 1821, 1804]
+    assert digest.hexdigest() == (
+        "8e357a048c65bd85e50ba665257f105f7c0a98d12ddeec073c268b19df8ee872"
     )
