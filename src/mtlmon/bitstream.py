@@ -1,10 +1,10 @@
 """Packing monitor programs to and from configuration bit streams.
 
-Body layout, in order: one record per PE (fields isActive, op0Src, op1Src,
-opcode, r_qid, top interval lo/hi, bot interval lo/hi), one record per que
-(isActive, isVerdict, readerPE, inp_no, head), then the operand routes (two
-per PE). Fields are packed MSB-first with no inter-record padding; the body
-is zero-padded to a byte boundary. Files carry a 16-byte header in front:
+Body layout, in order: one record per PE, one per que, then one route record
+(two AP indices) per PE, each laid out field by field as in
+``FabricConfig.pe_fields``, ``q_fields`` and ``route_fields``. Fields are
+packed MSB-first with no inter-record padding; the body is zero-padded to a
+byte boundary. Files carry a 16-byte header in front:
 
     magic "MTLB" | version (2B BE) | n_pe n_q n_ap q_sz (2B BE each) | 2 zero bytes
 
@@ -14,17 +14,21 @@ The header is consumed by tools; only the body is streamed into the fabric.
 from __future__ import annotations
 
 import struct
+from itertools import accumulate
+from operator import attrgetter
 
-from .errors import BitstreamError
+from .errors import AllocationError, BitstreamError
 from .program import (
     EMPTY_INTERVAL,
+    INACTIVE_PE,
+    INACTIVE_Q,
     FabricConfig,
+    Fields,
     MonitorProgram,
     OPCODE_BITS,
     OPCODE_NAMES,
     PeConfig,
     QConfig,
-    ceil_log2,
     derive_latency,
     is_empty,
 )
@@ -33,68 +37,41 @@ MAGIC = b"MTLB"
 FORMAT_VERSION = 1
 HEADER_LEN = 16
 
-
-class BitWriter:
-    def __init__(self):
-        self.data = bytearray()
-        self.bit_count = 0
-
-    def write(self, value: int, width: int, field: str = "") -> None:
-        if value < 0 or (width < value.bit_length()):
-            raise BitstreamError(f"value {value} overflows {width}-bit field {field}")
-        for shift in range(width - 1, -1, -1):
-            if self.bit_count % 8 == 0:
-                self.data.append(0)
-            bit = (value >> shift) & 1
-            self.data[-1] |= bit << (7 - self.bit_count % 8)
-            self.bit_count += 1
-
-    def getvalue(self) -> bytes:
-        return bytes(self.data)
-
-
-class BitReader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def read(self, width: int) -> int:
-        value = 0
-        for _ in range(width):
-            byte = self.data[self.pos // 8]
-            value = (value << 1) | ((byte >> (7 - self.pos % 8)) & 1)
-            self.pos += 1
-        return value
+_q_values = attrgetter("is_active", "is_verdict", "reader_pe", "inp_no", "head")
 
 
 def encode_program(prog: MonitorProgram) -> bytes:
     """Pack the body bits (no header), zero-padded to a whole byte."""
     cfg = prog.config
-    w_q = ceil_log2(cfg.n_q)
-    w_pe = ceil_log2(cfg.n_pe)
-    w_sz = ceil_log2(cfg.q_sz)
-    w_ap = ceil_log2(cfg.n_ap)
-    out = BitWriter()
-    for pid, pe in enumerate(prog.pes):
-        out.write(int(pe.is_active), 1, f"PE{pid}.isActive")
-        out.write(int(pe.op0_from_que), 1, f"PE{pid}.op0Src")
-        out.write(int(pe.op1_from_que), 1, f"PE{pid}.op1Src")
-        out.write(OPCODE_BITS[pe.opcode], 3, f"PE{pid}.opcode")
-        out.write(pe.r_qid, w_q, f"PE{pid}.r_qid")
-        for name, (lo, hi) in (("top", pe.top_interval), ("bot", pe.bot_interval)):
-            out.write(lo, w_sz, f"PE{pid}.{name}.lo")
-            out.write(hi, w_sz, f"PE{pid}.{name}.hi")
-    for qid, q in enumerate(prog.qs):
-        out.write(int(q.is_active), 1, f"Q{qid}.isActive")
-        out.write(int(q.is_verdict), 1, f"Q{qid}.isVerdict")
-        out.write(q.reader_pe, w_pe, f"Q{qid}.readerPE")
-        out.write(q.inp_no, 1, f"Q{qid}.inp_no")
-        out.write(q.head, w_sz, f"Q{qid}.head")
-    for pid, (r0, r1) in enumerate(prog.routes):
-        out.write(r0, w_ap, f"PE{pid}.route0")
-        out.write(r1, w_ap, f"PE{pid}.route1")
-    assert out.bit_count == cfg.body_bits
-    return out.getvalue()
+    bits = "".join(
+        _pack(prog.pes, INACTIVE_PE, _pe_values, cfg.pe_fields, "PE")
+        + _pack(prog.qs, INACTIVE_Q, _q_values, cfg.q_fields, "Q")
+        + _pack(prog.routes, (0, 0), tuple, cfg.route_fields, "PE")
+    )
+    assert len(bits) == cfg.body_bits
+    return int(bits.ljust(8 * cfg.body_bytes, "0"), 2).to_bytes(cfg.body_bytes, "big")
+
+
+def _pe_values(pe: PeConfig) -> tuple:
+    return (pe.is_active, pe.op0_from_que, pe.op1_from_que, OPCODE_BITS[pe.opcode],
+            pe.r_qid, *pe.top_interval, *pe.bot_interval)
+
+
+def _pack(records, inactive, values, fields: Fields, kind: str) -> list[str]:
+    """Each record as the binary digits of its fields; inactive is all zeros."""
+    zeros = "0" * sum(w for _, w in fields)
+    out = []
+    for index, record in enumerate(records):
+        word = 0
+        if record != inactive:
+            for value, (name, w) in zip(values(record), fields):
+                if value >> w:  # also true for a negative value
+                    raise BitstreamError(
+                        f"value {value} overflows {w}-bit field {kind}{index}.{name}"
+                    )
+                word = word << w | value
+        out.append(format(word, f"0{len(zeros)}b") if word else zeros)
+    return out
 
 
 def decode_program(data: bytes, cfg: FabricConfig) -> MonitorProgram:
@@ -103,48 +80,45 @@ def decode_program(data: bytes, cfg: FabricConfig) -> MonitorProgram:
         raise BitstreamError(
             f"body is {len(data)} bytes, configuration needs {cfg.body_bytes}"
         )
-    w_q = ceil_log2(cfg.n_q)
-    w_pe = ceil_log2(cfg.n_pe)
-    w_sz = ceil_log2(cfg.q_sz)
-    w_ap = ceil_log2(cfg.n_ap)
-    r = BitReader(data)
-    pes = []
-    for pid in range(cfg.n_pe):
-        is_active = bool(r.read(1))
-        op0_from_que = bool(r.read(1))
-        op1_from_que = bool(r.read(1))
-        opcode_bits = r.read(3)
-        if opcode_bits not in OPCODE_NAMES:
-            raise BitstreamError(f"PE{pid}: unknown opcode bits {opcode_bits:03b}")
-        r_qid = r.read(w_q)
-        top = (r.read(w_sz), r.read(w_sz))
-        bot = (r.read(w_sz), r.read(w_sz))
-        # Canonicalize any lo > hi encoding to the sentinel so the
-        # encode/decode roundtrip is an identity on canonical programs.
-        if is_empty(top):
-            top = EMPTY_INTERVAL
-        if is_empty(bot):
-            bot = EMPTY_INTERVAL
-        pes.append(
-            PeConfig(is_active, op0_from_que, op1_from_que, OPCODE_NAMES[opcode_bits], r_qid, top, bot)
-        )
-    qs = []
-    for _ in range(cfg.n_q):
-        qs.append(
-            QConfig(bool(r.read(1)), bool(r.read(1)), r.read(w_pe), r.read(1), r.read(w_sz))
-        )
-    routes = []
-    for _ in range(cfg.n_pe):
-        routes.append((r.read(w_ap), r.read(w_ap)))
-    # Trailing padding must be zero.
-    while r.pos < len(data) * 8:
-        if r.read(1):
-            raise BitstreamError("nonzero padding bits")
-    pes_t, qs_t = tuple(pes), tuple(qs)
-    latency = derive_latency(pes_t, qs_t)
+    bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
+    pes, pos = _split(bits, 0, cfg.n_pe, cfg.pe_fields, INACTIVE_PE, _pe_record)
+    qs, pos = _split(bits, pos, cfg.n_q, cfg.q_fields, INACTIVE_Q,
+                     lambda _, v: QConfig(bool(v[0]), bool(v[1]), *v[2:]))
+    routes, pos = _split(bits, pos, cfg.n_pe, cfg.route_fields, (0, 0), lambda _, v: tuple(v))
+    if "1" in bits[pos:]:
+        raise BitstreamError("nonzero padding bits")
+    latency = derive_latency(pes, qs)
     if sum(q.is_active and q.is_verdict for q in qs) > 1:
         raise BitstreamError("more than one active verdict que")
-    return MonitorProgram(cfg, pes_t, qs_t, tuple(routes), latency)
+    return MonitorProgram(cfg, pes, qs, routes, latency)
+
+
+def _split(bits: str, pos: int, count: int, fields: Fields, inactive, build):
+    """count records read from bits[pos:], and the position after them; an
+    all-zero record is inactive, any other is build(index, field values)."""
+    width = sum(w for _, w in fields)
+    zeros = "0" * width
+    ends = accumulate(w for _, w in fields)
+    masks = [(width - end, (1 << w) - 1) for (_, w), end in zip(fields, ends)]
+    records = []
+    for index in range(count):
+        chunk = bits[pos:pos + width]
+        pos += width
+        if chunk == zeros:
+            records.append(inactive)
+        else:
+            word = int(chunk, 2)
+            records.append(build(index, [word >> s & m for s, m in masks]))
+    return tuple(records), pos
+
+
+def _pe_record(pid: int, v: list[int]) -> PeConfig:
+    if v[3] not in OPCODE_NAMES:
+        raise BitstreamError(f"PE{pid}: unknown opcode bits {v[3]:03b}")
+    # Canonicalize any lo > hi encoding to the sentinel so the
+    # encode/decode roundtrip is an identity on canonical programs.
+    top, bot = (EMPTY_INTERVAL if is_empty(iv) else iv for iv in ((v[5], v[6]), (v[7], v[8])))
+    return PeConfig(bool(v[0]), bool(v[1]), bool(v[2]), OPCODE_NAMES[v[3]], v[4], top, bot)
 
 
 def encode_file(prog: MonitorProgram) -> bytes:
@@ -164,5 +138,8 @@ def decode_file(data: bytes) -> MonitorProgram:
         raise BitstreamError(f"unsupported bitstream version {version}")
     if data[14:16] != b"\x00\x00":
         raise BitstreamError("reserved header bytes must be zero")
-    cfg = FabricConfig(n_pe, n_q, n_ap, q_sz)
+    try:
+        cfg = FabricConfig(n_pe, n_q, n_ap, q_sz)
+    except AllocationError as exc:
+        raise BitstreamError(f"bad header: {exc}") from None
     return decode_program(data[HEADER_LEN:], cfg)

@@ -7,7 +7,7 @@ Subcommands:
   fuzz      randomized equivalence run, incl. mid-run reprogramming
 
 Exit codes: 0 ok, 2 formula parse error, 3 allocation/fit error, 4 I/O or
-file-format error, 5 verdict mismatch.
+file-format error, 5 verdict mismatch, 6 hard fault (a loaded bitstream faulted).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from . import formula as F
 from .bitstream import decode_file, encode_file
 from .compiler import compile_formula
-from .errors import AllocationError, BitstreamError, ParseError, TraceError
+from .errors import AllocationError, BitstreamError, HardFault, ParseError, TraceError
 from .program import FabricConfig
 from .toolchain import (
     DEFAULT_CONFIG,
@@ -33,6 +33,7 @@ EXIT_PARSE = 2
 EXIT_ALLOC = 3
 EXIT_IO = 4
 EXIT_MISMATCH = 5
+EXIT_FAULT = 6
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -178,6 +179,9 @@ def main(argv=None) -> int:
     except (OSError, TraceError, BitstreamError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except HardFault as exc:
+        print(f"hard fault: {exc}", file=sys.stderr)
+        return EXIT_FAULT
 
 
 if __name__ == "__main__":

@@ -23,8 +23,8 @@ class TraceError(ValueError):
 
 
 class AllocationError(ValueError):
-    """Formula does not fit the fabric configuration (PE/Q exhaustion,
-    AP index out of range, queue head beyond capacity)."""
+    """Formula does not fit the fabric (PE/Q exhaustion, AP index out of
+    range, queue head beyond capacity), or a fabric size is outside 1..65535."""
 
 
 class BitstreamError(ValueError):

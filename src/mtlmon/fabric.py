@@ -103,20 +103,20 @@ class Fabric:
 
     def load_program_byte(self, byte: int) -> None:
         """Shift one configuration byte in; latches after the final byte."""
-        if self.mode != "programming":
-            raise ProtocolError("configuration byte while running; begin_reprogram first")
-        if not 0 <= byte <= 0xFF:
-            raise ValueError(f"not a byte: {byte}")
-        self._buffer.append(byte)
-        self.total_cycles += 1
-        if len(self._buffer) == self._body_bytes:
-            body = bytes(self._buffer)
-            self._buffer.clear()
-            self._latch(decode_program(body, self.config))
+        self.load((byte,))
 
-    def load(self, body: bytes) -> None:
-        for byte in body:
-            self.load_program_byte(byte)
+    def load(self, body: Sequence[int]) -> None:
+        """Shift bytes in, one programming cycle each, taking those up to the
+        end of the body in one slice; a byte past the latch is a ProtocolError."""
+        if body and self.mode != "programming":
+            raise ProtocolError("configuration byte while running; begin_reprogram first")
+        need = self._body_bytes - len(self._buffer)
+        self._buffer += bytes(body[:need])  # ValueError on a value that is not a byte
+        self.total_cycles += min(len(body), need)
+        if len(self._buffer) == self._body_bytes:
+            data, self._buffer = bytes(self._buffer), bytearray()
+            self._latch(decode_program(data, self.config))
+            self.load(body[need:])  # any bytes left raise ProtocolError
 
     @property
     def programming_cycles(self) -> int:

@@ -90,7 +90,6 @@ class Until(Formula):
 
 
 TEMPORAL = (Box, Diamond, Until)
-BINARY = (And, Or, Implies, Until)
 
 
 def _check_interval(lo: int, hi: int, pos: int | None = None) -> None:

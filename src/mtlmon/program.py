@@ -23,6 +23,8 @@ OPCODE_BITS = {"wire": 0, "not": 1, "or": 2, "and": 3, "implies": 4}
 OPCODE_NAMES = {v: k for k, v in OPCODE_BITS.items()}
 OPCODE_ARITY = {"wire": 1, "not": 1, "or": 2, "and": 2, "implies": 2}
 
+Fields = tuple[tuple[str, int], ...]
+
 # lo > hi means "this polarity never modifies"; canonical encoding (1, 0).
 EMPTY_INTERVAL = (1, 0)
 
@@ -46,22 +48,40 @@ class FabricConfig:
     q_sz: int
 
     def __post_init__(self):
+        # Bitstream files carry each field as a 2-byte word.
         for name in ("n_pe", "n_q", "n_ap", "q_sz"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if not 1 <= getattr(self, name) <= 0xFFFF:
+                raise AllocationError(f"{name} must be in 1..65535, not {getattr(self, name)}")
 
-    # Per-record widths of the programming registers.
+    # One PE, que and route programming record as (field, width) pairs,
+    # MSB first. The bitstream codec packs and splits records by these.
+    @property
+    def pe_fields(self) -> Fields:
+        w = ceil_log2(self.q_sz)
+        return (("isActive", 1), ("op0Src", 1), ("op1Src", 1), ("opcode", 3),
+                ("r_qid", ceil_log2(self.n_q)),
+                ("top.lo", w), ("top.hi", w), ("bot.lo", w), ("bot.hi", w))
+
+    @property
+    def q_fields(self) -> Fields:
+        return (("isActive", 1), ("isVerdict", 1), ("readerPE", ceil_log2(self.n_pe)),
+                ("inp_no", 1), ("head", ceil_log2(self.q_sz)))
+
+    @property
+    def route_fields(self) -> Fields:
+        return (("route0", ceil_log2(self.n_ap)), ("route1", ceil_log2(self.n_ap)))
+
     @property
     def pe_bits(self) -> int:
-        return 6 + ceil_log2(self.n_q) + 4 * ceil_log2(self.q_sz)
+        return sum(w for _, w in self.pe_fields)
 
     @property
     def q_bits(self) -> int:
-        return 3 + ceil_log2(self.n_pe) + ceil_log2(self.q_sz)
+        return sum(w for _, w in self.q_fields)
 
     @property
     def route_bits(self) -> int:
-        return 2 * ceil_log2(self.n_ap)
+        return sum(w for _, w in self.route_fields)
 
     @property
     def body_bits(self) -> int:

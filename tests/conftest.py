@@ -86,3 +86,14 @@ def stray_writer_body() -> bytes:
     program = compile_formula(F.parse("!ap0"), HOSTILE_CFG)
     pes = (dataclasses.replace(program.pes[0], r_qid=7),) + program.pes[1:]
     return encode_program(dataclasses.replace(program, pes=pes))
+
+
+def faulting_body() -> bytes:
+    """The body of G[0,4] ap0 on HOSTILE_CFG with its verdict que's head
+    lowered to 0: it loads, then deletes an unresolved cell on the first
+    event with ap0 set."""
+    program = compile_formula(F.parse("G[0,4] ap0"), HOSTILE_CFG)
+    vq = program.verdict_qid
+    qs = list(program.qs)
+    qs[vq] = dataclasses.replace(qs[vq], head=0)
+    return encode_program(dataclasses.replace(program, qs=tuple(qs)))

@@ -3,11 +3,12 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from conftest import HOSTILE_CFG, second_verdict_body, stray_writer_body
+from conftest import HOSTILE_CFG, faulting_body, second_verdict_body, stray_writer_body
 from mtlmon import formula as F
 from mtlmon.bitstream import HEADER_LEN, encode_file
 from mtlmon.cli import (
     EXIT_ALLOC,
+    EXIT_FAULT,
     EXIT_IO,
     EXIT_MISMATCH,
     EXIT_OK,
@@ -137,6 +138,7 @@ def test_run_width_mismatch_without_rows(tmp_path):
 @pytest.mark.parametrize("body,code,prefix", [
     (second_verdict_body, EXIT_IO, "i/o error: "),
     (stray_writer_body, EXIT_ALLOC, "allocation error: "),
+    (faulting_body, EXIT_FAULT, "hard fault: "),
 ])
 def test_run_rejects_hostile_bitstreams(tmp_path, body, code, prefix):
     header = encode_file(compile_formula(F.parse("!ap0"), HOSTILE_CFG))[:HEADER_LEN]
@@ -147,6 +149,30 @@ def test_run_rejects_hostile_bitstreams(tmp_path, body, code, prefix):
     assert got == code
     assert out == ""
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--npe", "0"), ("--qsz", "0"), ("--npe", "70000"), ("--nap", "-1"),
+])
+def test_fabric_size_flags_outside_the_header_range(tmp_path, flag, value):
+    # the last of a repeated flag wins
+    code, out, err = run_cli("compile", "--formula", "!ap0", *FIG_ARGS, flag, value,
+                             "-o", str(tmp_path / "p.bit"))
+    assert code == EXIT_ALLOC
+    assert out == ""
+    assert err.startswith("allocation error: ") and err.count("\n") == 1
+    assert not (tmp_path / "p.bit").exists()
+
+
+def test_run_rejects_a_header_with_zero_pes(tmp_path):
+    data = encode_file(compile_formula(F.parse("!ap0"), HOSTILE_CFG))
+    prog = tmp_path / "zero.bit"
+    prog.write_bytes(data[:6] + b"\x00\x00" + data[8:])  # n_pe = 0
+    trace = write_trace_file(tmp_path / "t.csv", HOSTILE_CFG.n_ap, [[1, 0, 0]])
+    code, out, err = run_cli("run", "--prog", str(prog), "--trace", trace)
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("formula", ["!ap0", "true"])

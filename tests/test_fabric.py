@@ -58,6 +58,33 @@ def test_programming_takes_one_cycle_per_byte():
     assert fabric.mode == "running"
 
 
+def test_bulk_load_matches_split_and_byte_by_byte_loads():
+    cfg = FabricConfig(8, 8, 4, 16)
+    program = compile_formula(F.parse("F[0,1] !ap1 | F[1,4] ap2"), cfg)
+    body = encode_program(program)
+    whole, split, bytewise = Fabric(cfg), Fabric(cfg), Fabric(cfg)
+    whole.load(body)
+    split.load(body[:7])
+    split.load(body[7:])
+    for byte in body:
+        bytewise.load_program_byte(byte)
+    for fabric in (whole, split, bytewise):
+        assert fabric.program == program
+        assert fabric.latency == program.latency
+        assert fabric.total_cycles == len(body)
+
+
+def test_bulk_load_rejects_bytes_past_the_latch_and_non_bytes():
+    body = encode_program(compile_formula(F.parse("!ap0"), SMALL))
+    fabric = Fabric(SMALL)
+    with pytest.raises(ProtocolError):
+        fabric.load(body + b"\x00")
+    assert fabric.mode == "running"
+    assert fabric.total_cycles == len(body)
+    with pytest.raises(ValueError):
+        Fabric(SMALL).load([0] * (len(body) - 1) + [256])
+
+
 def test_step_requires_running_mode():
     fabric = Fabric(SMALL)
     with pytest.raises(ProtocolError):
