@@ -38,9 +38,11 @@ class QueOverflowError(RuntimeError):
 
 
 class HardFault(RuntimeError):
-    """An impossible-by-construction condition occurred at runtime: a stable
-    verdict cell still held Maybe, or coalesced write intervals were not
-    contiguous. Signals a misprogrammed monitor, never user error."""
+    """An impossible-by-construction condition occurred at runtime: a que
+    deleted an unresolved cell at its head, one cycle's offers of one
+    polarity to a fabric que left a cell uncovered inside their span (the
+    message names the que and the polarity), or two golden-model machines
+    modified common cells. Signals a misprogrammed monitor, never user error."""
 
 
 class ProtocolError(RuntimeError):

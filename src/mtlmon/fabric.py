@@ -11,12 +11,23 @@ interconnect phases:
    boolean result and offers the selected interval (top on true, bottom on
    false) to its result que; empty-sentinel intervals offer nothing. A que
    none of whose writers computed (pipeline warm-up) idles this cycle.
-3. PE -> que: offers targeting one que are coalesced per polarity into a
-   single contiguous interval each.
-4. que: every driven que adds, applies the coalesced true-modify then the
+3. PE -> que: offers targeting one que are ORed per polarity into a
+   single top mask and a single bottom mask; a mask whose set bits are not
+   one contiguous run is a hard fault. The check runs only after every
+   offer of the cycle is in, because until's three machines close the
+   span together.
+4. que: every driven que adds, applies the true-modify then the
    false-modify, then deletes at its head; the deleted value is latched
    onto the que->PE crossbar for the next cycle, except the verdict que's
    value, which leaves through the output port immediately.
+
+A que is three ints, [occupancy, known, value], with bit k standing for
+cell k and cell 0 the newest: add shifts both masks left by one; modify
+sets the unknown live cells of the top mask in ``known`` and ``value``,
+then marks the unknown live cells of the bottom mask known (their value
+bit stays 0); delete reads bit ``head`` of ``value``, faulting if it is
+not set in ``known``, and clears it. An interval (lo, hi) is the mask of
+bits lo..hi, and an empty interval is 0.
 
 The verdict leaving at running cycle c (0-based since the program latched)
 is the formula verdict for time c - latency + 1; warm-up cycles produce no
@@ -30,12 +41,11 @@ a freshly programmed fabric.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
 from .bitstream import decode_program
 from .errors import AllocationError, HardFault, ProtocolError, TraceError
-from .machine import MAYBE, am_result
+from .machine import am_result
 from .program import (
     FabricConfig,
     MonitorProgram,
@@ -46,33 +56,10 @@ from .program import (
     slot_from_que,
 )
 
-Interval = tuple[int, int]
 
-
-def coalesce(postings: list[tuple[Interval, bool]]) -> tuple[Optional[Interval], Optional[Interval]]:
-    """Merge one cycle's interval offers to a que into (top, bottom) spans.
-
-    Per polarity the result is [min lo, max hi]; the offers must cover that
-    span without gaps, which the operator realizations guarantee. A gap
-    means a machine that should have fired did not: hard fault.
-    """
-    top = _merge([iv for iv, pol in postings if pol])
-    bot = _merge([iv for iv, pol in postings if not pol])
-    return top, bot
-
-
-def _merge(intervals: list[Interval]) -> Optional[Interval]:
-    if not intervals:
-        return None
-    if len(intervals) == 1:
-        return intervals[0]
-    intervals = sorted(intervals)
-    reach = intervals[0][1]
-    for lo, hi in intervals[1:]:
-        if lo > reach + 1:
-            raise HardFault(f"non-contiguous coalesced interval: {intervals}")
-        reach = max(reach, hi)
-    return intervals[0][0], reach
+def _mask(interval: tuple[int, int]) -> int:
+    lo, hi = interval
+    return 0 if is_empty(interval) else (1 << (hi + 1)) - (1 << lo)
 
 
 class Fabric:
@@ -87,7 +74,7 @@ class Fabric:
         self.latency = 0
         self.program: Optional[MonitorProgram] = None
         self._buffer = bytearray()
-        self._ques: list[deque] = [deque() for _ in range(config.n_q)]
+        self._ques: list[list[int]] = [[0, 0, 0] for _ in range(config.n_q)]
         self._delivered: list = [None] * config.n_q
         self._plan: list = []
         self._heads: list[int] = [0] * config.n_q
@@ -126,8 +113,9 @@ class Fabric:
         """Validate the decoded records and latch them as the datapath plan.
 
         Each active PE becomes one plan entry holding its truth table, built
-        from ``am_result`` over every operand combination: entry v0 for one
-        operand, v0 + 2*v1 for two. Deriving the latency also rejects cyclic
+        from ``am_result`` over every operand combination (entry v0 for one
+        operand, v0 + 2*v1 for two), and its (bottom, top) interval masks,
+        indexed by its result. Deriving the latency also rejects cyclic
         que routing.
         """
         sources = self._validate(program)
@@ -157,14 +145,13 @@ class Fabric:
                 idx[0],
                 pe.op1_from_que,
                 idx[1],
-                None if is_empty(pe.top_interval) else pe.top_interval,
-                None if is_empty(pe.bot_interval) else pe.bot_interval,
+                (_mask(pe.bot_interval), _mask(pe.top_interval)),
                 pe.r_qid,
             ))
         self._heads = [q.head for q in program.qs]
-        self._driven_qids = sorted({rec[8] for rec in self._plan})
+        self._driven_qids = sorted({rec[7] for rec in self._plan})
         self._verdict_qid = program.verdict_qid
-        self._ques = [deque() for _ in range(cfg.n_q)]
+        self._ques = [[0, 0, 0] for _ in range(cfg.n_q)]
         self._delivered = [None] * cfg.n_q
         self.run_cycle = 0
         self.mode = "running"
@@ -227,9 +214,8 @@ class Fabric:
             raise TraceError(f"event width {len(ap_values)} != n_ap {cfg.n_ap}")
 
         delivered = self._delivered
-        postings: dict[int, list] = {}
-        driven: set[int] = set()
-        for table, arity, q0, r0, q1, r1, top, bot, rqid in self._plan:
+        offers: dict[int, list[int]] = {}  # qid -> [bottom mask, top mask]
+        for table, arity, q0, r0, q1, r1, masks, rqid in self._plan:
             v0 = delivered[r0] if q0 else ap_values[r0]
             if v0 is None:
                 continue
@@ -240,41 +226,47 @@ class Fabric:
                 res = table[v0 + 2 * v1]
             else:
                 res = table[v0]
-            driven.add(rqid)
-            interval = top if res else bot
-            if interval is not None:
-                postings.setdefault(rqid, []).append((interval, res))
+            offer = offers.get(rqid)
+            if offer is None:
+                offer = offers[rqid] = [0, 0]
+            offer[res] |= masks[res]
 
         new_delivered: list = [None] * cfg.n_q
         out: Optional[bool] = None
         for qid in self._driven_qids:
-            if qid not in driven:
+            if qid not in offers:
                 continue
             que = self._ques[qid]
-            if len(que) >= cfg.q_sz:
+            occ, known, value = que
+            if occ >= cfg.q_sz:
                 raise HardFault(f"Q{qid} overflow at capacity {cfg.q_sz}")
-            que.append(MAYBE)  # cell 0 is the right end
-            occ = len(que)
-            top, bot = coalesce(postings.get(qid, []))
-            for interval, value in ((top, True), (bot, False)):
-                if interval is None:
-                    continue
-                lo, hi = interval
-                for k in range(lo, min(hi, occ - 1) + 1):
-                    if que[occ - 1 - k] is MAYBE:
-                        que[occ - 1 - k] = value
+            bot, top = offers[qid]
+            for mask, polarity in ((top, "top"), (bot, "bot")):
+                carry = mask + (mask & -mask)  # clears the lowest run of cells
+                if mask & carry:
+                    gap = (carry & -carry).bit_length() - 1
+                    raise HardFault(f"Q{qid} {polarity} offers leave cell {gap} uncovered")
+            occ += 1  # add: the new cell 0 is unknown
+            live = (1 << occ) - 1
+            known <<= 1
+            new = top & live & ~known
+            value = value << 1 | new
+            known |= new | bot & live
             head = self._heads[qid]
             if occ > head:
                 assert occ == head + 1, "occupancy ran past head+1"
-                value = que.popleft()
-                if value is MAYBE:
+                cell = 1 << head
+                if not known & cell:
                     raise HardFault(
                         f"Q{qid} deleted unresolved cell at head {head}: misprogrammed head"
                     )
+                bit = bool(value & cell)
                 if qid == self._verdict_qid:
-                    out = value
+                    out = bit
                 else:
-                    new_delivered[qid] = value
+                    new_delivered[qid] = bit
+                occ, known, value = head, known ^ cell, value & ~cell
+            que[:] = occ, known, value
 
         self._delivered = new_delivered
         cycle = self.run_cycle

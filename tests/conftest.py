@@ -97,3 +97,12 @@ def faulting_body() -> bytes:
     qs = list(program.qs)
     qs[vq] = dataclasses.replace(qs[vq], head=0)
     return encode_program(dataclasses.replace(program, qs=tuple(qs)))
+
+
+def gap_body() -> bytes:
+    """The body of ap0 U[2,4] ap1 on HOSTILE_CFG with PE0's bottom interval
+    cut to (0, 0): it loads, then its bottom offers leave cell 1 uncovered
+    on the first event with ap0 and ap1 both clear."""
+    program = compile_formula(F.parse("ap0 U[2,4] ap1"), HOSTILE_CFG)
+    pes = (dataclasses.replace(program.pes[0], bot_interval=(0, 0)),) + program.pes[1:]
+    return encode_program(dataclasses.replace(program, pes=pes))

@@ -3,7 +3,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from conftest import HOSTILE_CFG, faulting_body, second_verdict_body, stray_writer_body
+from conftest import (
+    HOSTILE_CFG, faulting_body, gap_body, second_verdict_body, stray_writer_body,
+)
 from mtlmon import formula as F
 from mtlmon.bitstream import HEADER_LEN, encode_file
 from mtlmon.cli import (
@@ -139,12 +141,14 @@ def test_run_width_mismatch_without_rows(tmp_path):
     (second_verdict_body, EXIT_IO, "i/o error: "),
     (stray_writer_body, EXIT_ALLOC, "allocation error: "),
     (faulting_body, EXIT_FAULT, "hard fault: "),
+    (gap_body, EXIT_FAULT, "hard fault: "),
 ])
 def test_run_rejects_hostile_bitstreams(tmp_path, body, code, prefix):
     header = encode_file(compile_formula(F.parse("!ap0"), HOSTILE_CFG))[:HEADER_LEN]
     prog = tmp_path / "hostile.bit"
     prog.write_bytes(header + body())
-    trace = write_trace_file(tmp_path / "t.csv", HOSTILE_CFG.n_ap, [[1, 0, 0]])
+    # faulting_body faults on the first row, gap_body on the second
+    trace = write_trace_file(tmp_path / "t.csv", HOSTILE_CFG.n_ap, [[1, 0, 0], [0, 0, 0]])
     got, out, err = run_cli("run", "--prog", str(prog), "--trace", trace)
     assert got == code
     assert out == ""

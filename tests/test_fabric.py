@@ -3,15 +3,16 @@ import random
 
 import pytest
 
-from conftest import HOSTILE_CFG, second_verdict_body, stray_writer_body
+from conftest import HOSTILE_CFG, gap_body, second_verdict_body, stray_writer_body
 from mtlmon import formula as F
 from mtlmon.bitstream import encode_program
 from mtlmon.compiler import compile_formula
 from mtlmon.errors import AllocationError, BitstreamError, HardFault, ProtocolError, TraceError
-from mtlmon.fabric import Fabric, coalesce
+from mtlmon.fabric import Fabric
 from mtlmon.oracle import oracle_verdicts
 from mtlmon.program import FabricConfig, QConfig
 from mtlmon.toolchain import (
+    check_formula,
     diff_verdicts,
     expected_emission,
     random_trace,
@@ -159,21 +160,36 @@ def test_first_verdict_lands_exactly_at_latency():
         assert silent == program.latency - 1
 
 
-# -- coalescing -------------------------------------------------------------------
+# -- offers and que masks --------------------------------------------------------
 
-def test_coalesce_merges_adjacent_offers():
-    top, bot = coalesce([((0, 0), False), ((2, 2), False), ((1, 1), False)])
-    assert top is None and bot == (0, 2)
-
-
-def test_coalesce_singleton():
-    top, bot = coalesce([((1, 4), True)])
-    assert top == (1, 4) and bot is None
+def test_gap_between_offers_is_a_hard_fault():
+    fabric = Fabric(HOSTILE_CFG)
+    fabric.load(gap_body())
+    assert fabric.mode == "running"
+    with pytest.raises(HardFault, match="Q0 bot offers leave cell 1 uncovered"):
+        fabric.step([False] * HOSTILE_CFG.n_ap)
 
 
-def test_coalesce_gap_is_a_hard_fault():
-    with pytest.raises(HardFault):
-        coalesce([((0, 0), False), ((2, 2), False)])
+def test_adjacent_offers_merge():
+    # The unmodified until offers (0, 1), (2, 3) and (4, 4) to its bottom
+    # on an all-false event: one span, no fault.
+    f = F.parse("ap0 U[2,4] ap1")
+    program = compile_formula(f, HOSTILE_CFG)
+    trace = make_trace([[0, 0, 0]] * 3 + [[1, 0, 0], [0, 1, 0], [1, 1, 0]] * 3)
+    verdicts, _ = run_program(program, trace)
+    expected = expected_emission(len(trace), program.latency)
+    assert [t for t, _ in verdicts] == list(expected)
+    assert not diff_verdicts(verdicts, oracle_verdicts(f, trace), expected)
+
+
+def test_wide_window_agrees_with_the_oracle():
+    # A 2001-cell interval, clipped at occupancy through a 3,006-cycle
+    # warm-up, on a 4,096-cell que.
+    cfg = FabricConfig(256, 256, 16, 4096)
+    trace = random_trace(random.Random(1), 3100, cfg.n_ap)
+    report = check_formula("G[0,2000] (ap0 -> F[0,1000] ap1)", cfg, trace)
+    assert report.ok
+    assert len(report.verdicts) == 95
 
 
 # -- rejection of misprogrammed monitors ------------------------------------------
