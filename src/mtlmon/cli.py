@@ -6,14 +6,15 @@ Subcommands:
   check     formula + trace -> fabric vs brute-force diff
   fuzz      randomized equivalence run, incl. mid-run reprogramming
 
-Exit codes: 0 ok, 2 formula parse error, 3 allocation/fit error, 4 I/O or
-file-format error, 5 verdict mismatch, 6 hard fault (a loaded bitstream faulted).
+Exit codes: 0 ok, 2 formula parse error or bad flag, 3 allocation/fit error, 4
+I/O or file-format error, 5 verdict mismatch, 6 hard fault (a bitstream faulted).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import formula as F
 from .bitstream import decode_file, encode_file
@@ -45,6 +46,19 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 def _config(args) -> FabricConfig:
     return FabricConfig(args.npe, args.nq, args.nap, args.qsz)
+
+
+def _natural(text: str, limit: int | None = None) -> int:
+    """argparse type: an integer in 0..limit."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
+    if limit is not None and value > limit:
+        raise argparse.ArgumentTypeError(f"must be at most {limit}, not {value}")
+    return value
 
 
 def _parse_forced(entries) -> dict[int, int]:
@@ -157,10 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="randomized fabric-vs-brute-force run")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--max-depth", type=int, default=4)
-    p.add_argument("--max-t2", type=int, default=8)
-    p.add_argument("--trace-len", type=int, default=64)
+    p.add_argument("--count", type=_natural, required=True)
+    p.add_argument("--max-depth", type=partial(_natural, limit=F.MAX_NESTING), default=4)
+    p.add_argument("--max-t2", type=_natural, default=8)
+    p.add_argument("--trace-len", type=_natural, default=64)
     _add_config_args(p)
     p.set_defaults(func=cmd_fuzz)
     return parser

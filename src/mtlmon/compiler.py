@@ -1,10 +1,10 @@
 """Compile a constant-free formula into a fully programmed monitor.
 
-Pipeline: wrap bare-AP operands of binary operators in synthetic wire nodes
-(so both operands of every binary evaluator arrive with equal delay), then
-balance que heads bottom-up, then assign PEs and ques in reverse
-breadth-first order and lower each node's machine programming to hardware
-records.
+Pipeline: build the evaluator tree, one node per operator plus a wire node
+around a bare AP root and each lone AP operand of a binary operator (so both
+operands of every binary evaluator arrive with equal delay); balance que
+heads bottom-up; then assign PEs and ques in reverse breadth-first order and
+lower the machines ``machine.em_build`` lists for each node to records.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import formula as F
 from .errors import AllocationError
-from .machine import EvaluatorMachine, em_build, min_head
+from .machine import em_build, min_head, stream_ports
 from .program import (
     EMPTY_INTERVAL,
     FabricConfig,
@@ -25,41 +25,6 @@ from .program import (
     derive_latency,
     is_empty,
 )
-
-
-@dataclass(frozen=True)
-class Wire(F.Formula):
-    """Synthetic pass-through node; semantically the identity on its child.
-
-    Inserted around a bare AP that feeds a binary operator whose other
-    operand is an operator subtree: the subtree's verdicts leave its que
-    with a delay, so the raw AP must be buffered through a que of its own
-    or the binary node would combine operands from different times.
-    """
-
-    child: F.Formula
-
-
-def insert_wires(f: F.Formula) -> F.Formula:
-    """Wrap mismatched bare-AP operands of binary operators in Wire nodes."""
-    if isinstance(f, (F.AP, F.TrueConst)):
-        return f
-    if isinstance(f, (F.Not, F.Next, F.Box, F.Diamond, Wire)):
-        return type(f)(insert_wires(f.child), *_interval_args(f))
-    left, right = insert_wires(f.left), insert_wires(f.right)
-    if isinstance(left, F.AP) != isinstance(right, F.AP):
-        if isinstance(left, F.AP):
-            left = Wire(left)
-        else:
-            right = Wire(right)
-    if isinstance(f, F.Until):
-        return F.Until(left, right, f.lo, f.hi)
-    return type(f)(left, right)
-
-
-def _interval_args(f: F.Formula) -> tuple:
-    return (f.lo, f.hi) if isinstance(f, (F.Box, F.Diamond)) else ()
-
 
 # ---------------------------------------------------------------------------
 # Evaluator tree with heads and heights
@@ -74,7 +39,6 @@ _KIND = {
     F.Box: "box",
     F.Diamond: "diamond",
     F.Until: "until",
-    Wire: "wire",
 }
 
 
@@ -105,30 +69,27 @@ class EmNode:
 
 
 def build_em_tree(f: F.Formula) -> EmNode:
-    """Convert a wire-inserted, constant-free formula to evaluator nodes.
+    """Convert a constant-free formula to evaluator nodes.
 
-    A bare AP at the root has no operator to evaluate it, so it is wrapped
-    in a wire node (its verdict stream is the AP delayed by the wire's que).
+    A bare AP root becomes a wire node: its verdict stream is the AP delayed
+    by the wire's que. So does a lone AP operand of a binary operator whose
+    other operand is a subtree, whose verdicts leave its que with a delay:
+    unbuffered, the binary node would combine operands from different times.
     """
+    node = _to_node(f)
+    return EmNode("wire", None, [node]) if isinstance(node, int) else node
+
+
+def _to_node(f: F.Formula) -> EmNode | int:
     if isinstance(f, F.AP):
-        f = Wire(f)
-    return _to_node(f)
-
-
-def _to_node(f: F.Formula) -> EmNode:
+        return f.index
     if isinstance(f, F.TrueConst):
         raise AllocationError("constant node reached allocation; fold first")
-    kind = _KIND[type(f)]
-    interval = (f.lo, f.hi) if isinstance(f, (F.Box, F.Diamond, F.Until)) else None
-    subs = F.children(f) if not isinstance(f, Wire) else (f.child,)
-    operands = [
-        op.index if isinstance(op, F.AP) else _to_node(op) for op in subs
-    ]
-    mixed = len(operands) == 2 and (
-        isinstance(operands[0], EmNode) != isinstance(operands[1], EmNode)
-    )
-    assert not mixed, "wire insertion must remove mixed AP/node operands"
-    return EmNode(kind, interval, operands)
+    operands = [_to_node(child) for child in F.children(f)]
+    if len(operands) == 2 and isinstance(operands[0], int) != isinstance(operands[1], int):
+        operands = [EmNode("wire", None, [op]) if isinstance(op, int) else op for op in operands]
+    interval = (f.lo, f.hi) if isinstance(f, F.TEMPORAL) else None
+    return EmNode(_KIND[type(f)], interval, operands)
 
 
 def compute_heads(node: EmNode) -> tuple[int, int]:
@@ -188,8 +149,8 @@ def force_heads(root: EmNode, forced: dict[int, int]) -> None:
 
 
 def plan(f: F.Formula) -> EmNode:
-    """Wire-insert, build the evaluator tree, and balance heads."""
-    root = build_em_tree(insert_wires(f))
+    """Build the evaluator tree, balance heads, and number the nodes."""
+    root = build_em_tree(f)
     compute_heads(root)
     bfs_order(root)
     return root
@@ -199,26 +160,18 @@ def plan(f: F.Formula) -> EmNode:
 # Allocation and lowering
 # ---------------------------------------------------------------------------
 
-def node_machine(node: EmNode) -> EvaluatorMachine:
-    return em_build(node.kind, node.head, node.interval)
-
-
-def pe_cost(node: EmNode) -> int:
-    if node.kind == "until":
-        return 3 if node.interval[0] >= 1 else 2
-    return 1
-
-
 def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
     """Assign PEs/ques in reverse breadth-first order and lower to records.
 
-    Each node takes the next free que; until takes 2-3 consecutive PEs (its
-    machines in programming-table order), everything else one. The root que
-    is the verdict que. Operand routes carry the AP index or the child's
-    que id; a child que's reader fields name its lowest-numbered reading PE.
+    Each node takes the next free que and one consecutive PE per machine
+    of its ``em_build`` programming, in that order. The root que is the
+    verdict que. Operand routes carry the AP index or the child's que id;
+    a child que's reader fields name the first port of its stream in
+    ``stream_ports``, and the fabric derives the taps.
     """
     order = bfs_order(root)
-    total_pes = sum(pe_cost(n) for n in order)
+    lowering = [(n, em_build(n.kind, n.head, n.interval).ams) for n in reversed(order)]
+    total_pes = sum(len(ams) for _, ams in lowering)
     if total_pes > cfg.n_pe:
         raise AllocationError(
             f"PE exhaustion: formula needs {total_pes} PEs, fabric has {cfg.n_pe}"
@@ -230,7 +183,7 @@ def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
 
     next_pe = 0
     next_q = 0
-    for node in reversed(order):
+    for node, ams in lowering:
         if node.head >= cfg.q_sz:
             raise AllocationError(
                 f"node {node.em_index} ({node.kind}) needs head {node.head}, "
@@ -238,20 +191,20 @@ def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
             )
         node.q_id = next_q
         next_q += 1
-        node.pe_ids = list(range(next_pe, next_pe + pe_cost(node)))
-        next_pe += pe_cost(node)
+        node.pe_ids = list(range(next_pe, next_pe + len(ams)))
+        next_pe += len(ams)
 
     pes: list[PeConfig] = [INACTIVE_PE] * cfg.n_pe
     qs: list[QConfig] = [INACTIVE_Q] * cfg.n_q
     routes: list[tuple[int, int]] = [(0, 0)] * cfg.n_pe
-    # child q_id -> (pe, slot) its reader fields will name. In a
-    # multi-machine until the wire machine's port is the named one; the or
-    # machine's taps are implied by the group shape (see resolve_operands).
-    primary: dict[int, tuple[int, int]] = {}
+    qs[root.q_id] = QConfig(True, True, 0, 0, root.head)
 
-    for node in reversed(order):
-        machine = node_machine(node)
-        for am, pe_id in zip(machine.ams, node.pe_ids):
+    for node, ams in lowering:
+        for operand, ports in zip(node.operands, stream_ports(ams)):
+            if isinstance(operand, EmNode):
+                m, slot = ports[0]
+                qs[operand.q_id] = QConfig(True, False, node.pe_ids[m], slot, operand.head)
+        for am, pe_id in zip(ams, node.pe_ids):
             slots = [am.op0] + ([am.op1] if am.op1 is not None else [])
             from_que = [False, False]
             route = [0, 0]
@@ -259,8 +212,6 @@ def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
                 operand = node.operands[operand_index]
                 if isinstance(operand, EmNode):
                     from_que[slot] = True
-                    if operand.q_id not in primary or am.opcode == "wire":
-                        primary[operand.q_id] = (pe_id, slot)
                 else:
                     if operand >= cfg.n_ap:
                         raise AllocationError(
@@ -279,13 +230,6 @@ def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
                 True, from_que[0], from_que[1], am.opcode, node.q_id, top, bot
             )
             routes[pe_id] = (route[0], route[1])
-
-    for node in order:
-        if node is root:
-            qs[node.q_id] = QConfig(True, True, 0, 0, node.head)
-        else:
-            reader_pe, inp_no = primary[node.q_id]
-            qs[node.q_id] = QConfig(True, False, reader_pe, inp_no, node.head)
 
     pes_t, qs_t = tuple(pes), tuple(qs)
     return MonitorProgram(cfg, pes_t, qs_t, tuple(routes), derive_latency(pes_t, qs_t))

@@ -47,4 +47,4 @@ class HardFault(RuntimeError):
 
 class ProtocolError(RuntimeError):
     """Programming-port misuse: configuration byte received while the fabric
-    is running, or mode confusion."""
+    is running, or a step while it is programming or has faulted."""

@@ -37,6 +37,7 @@ Reprogramming: begin_reprogram opens the programming port at any moment;
 after the final byte the new configuration latches, every que clears, and
 cycle accounting for verdict timing restarts, so behavior is identical to
 a freshly programmed fabric.
+A HardFault is terminal: step raises ProtocolError until begin_reprogram.
 """
 
 from __future__ import annotations
@@ -45,11 +46,10 @@ from typing import Optional, Sequence
 
 from .bitstream import decode_program
 from .errors import AllocationError, HardFault, ProtocolError, TraceError
-from .machine import am_result
+from .machine import OPCODE_ARITY, am_result
 from .program import (
     FabricConfig,
     MonitorProgram,
-    OPCODE_ARITY,
     derive_latency,
     is_empty,
     resolve_operands,
@@ -96,7 +96,7 @@ class Fabric:
         """Shift bytes in, one programming cycle each, taking those up to the
         end of the body in one slice; a byte past the latch is a ProtocolError."""
         if body and self.mode != "programming":
-            raise ProtocolError("configuration byte while running; begin_reprogram first")
+            raise ProtocolError(f"configuration byte while {self.mode}; begin_reprogram first")
         need = self._body_bytes - len(self._buffer)
         self._buffer += bytes(body[:need])  # ValueError on a value that is not a byte
         self.total_cycles += min(len(body), need)
@@ -208,7 +208,7 @@ class Fabric:
         """Run one monitor cycle on one event; returns (time, verdict) once
         the pipeline is warm, None during warm-up."""
         if self.mode != "running":
-            raise ProtocolError("fabric is in programming mode")
+            raise ProtocolError(f"fabric is in {self.mode} mode")
         cfg = self.config
         if len(ap_values) != cfg.n_ap:
             raise TraceError(f"event width {len(ap_values)} != n_ap {cfg.n_ap}")
@@ -233,6 +233,7 @@ class Fabric:
 
         new_delivered: list = [None] * cfg.n_q
         out: Optional[bool] = None
+        self.mode = "faulted"  # until every que has updated without a HardFault
         for qid in self._driven_qids:
             if qid not in offers:
                 continue
@@ -267,6 +268,7 @@ class Fabric:
                     new_delivered[qid] = bit
                 occ, known, value = head, known ^ cell, value & ~cell
             que[:] = occ, known, value
+        self.mode = "running"
 
         self._delivered = new_delivered
         cycle = self.run_cycle

@@ -10,6 +10,9 @@ Concrete syntax
     grouping    ( ... );  -> and U associate to the right
 
 Interval bounds are non-negative integers with a <= b (b finite).
+No atom may lie under more than ``MAX_NESTING`` operators, nor text open more
+than MAX_NESTING parentheses at once (ParseError), so every recursive pass
+stays well inside Python's default limit of 1000 frames.
 ``semantic_future`` counts how many future events a verdict depends on; it
 defines the range of trace positions on which a verdict is determined. The
 operator minimum heads and the monitor latency belong to the hardware and
@@ -91,6 +94,8 @@ class Until(Formula):
 
 TEMPORAL = (Box, Diamond, Until)
 
+MAX_NESTING = 100
+
 
 def _check_interval(lo: int, hi: int, pos: int | None = None) -> None:
     if lo < 0 or hi < 0 or lo > hi:
@@ -98,13 +103,20 @@ def _check_interval(lo: int, hi: int, pos: int | None = None) -> None:
 
 
 def validate(f: Formula) -> None:
-    """Reject out-of-order intervals and negative AP indices anywhere in f."""
-    if isinstance(f, TEMPORAL):
-        _check_interval(f.lo, f.hi)
-    if isinstance(f, AP) and f.index < 0:
-        raise ParseError(f"negative AP index {f.index}")
-    for child in children(f):
-        validate(child)
+    """Reject out-of-order intervals, negative AP indices and nesting past
+    MAX_NESTING anywhere in f, in pre-order; iterative, so any depth is
+    safe to check."""
+    stack = [(f, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_NESTING:
+            raise ParseError(f"formula nests more than {MAX_NESTING} operators deep")
+        if isinstance(node, TEMPORAL):
+            _check_interval(node.lo, node.hi)
+        if isinstance(node, AP) and node.index < 0:
+            raise ParseError(f"negative AP index {node.index}")
+        for child in reversed(children(node)):
+            stack.append((child, depth + 1))
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
@@ -290,11 +302,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+_PREFIX = {"!": Not, "X": Next, "G": Box, "F": Diamond}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.parens = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -319,12 +335,16 @@ class _Parser:
         _check_interval(lo, hi, pos)
         return lo, hi
 
+    # Operator chains are loops: the parser recurses only into parentheses.
     def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "->":
+        terms = [self.disjunction()]
+        while self.peek()[0] == "->":
             self.next()
-            return Implies(left, self.implies())
-        return left
+            terms.append(self.disjunction())
+        f = terms.pop()
+        for left in reversed(terms):
+            f = Implies(left, f)
+        return f
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
@@ -341,36 +361,35 @@ class _Parser:
         return f
 
     def until(self) -> Formula:
-        left = self.unary()
-        if self.peek()[0] == "word" and self.peek()[1] == "U":
+        lefts = []
+        f = self.unary()
+        while self.peek()[:2] == ("word", "U"):
             self.next()
-            lo, hi = self.interval()
-            return Until(left, self.until(), lo, hi)
-        return left
+            lefts.append((f, self.interval()))
+            f = self.unary()
+        for left, (lo, hi) in reversed(lefts):
+            f = Until(left, f, lo, hi)
+        return f
 
     def unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "!":
-            self.next()
-            return Not(self.unary())
-        if kind == "word" and value == "X":
-            self.next()
-            return Next(self.unary())
-        if kind == "word" and value == "G":
-            self.next()
-            lo, hi = self.interval()
-            return Box(self.unary(), lo, hi)
-        if kind == "word" and value == "F":
-            self.next()
-            lo, hi = self.interval()
-            return Diamond(self.unary(), lo, hi)
-        return self.atom()
+        prefixes = []
+        while self.peek()[1] in _PREFIX:
+            op = _PREFIX[self.next()[1]]
+            prefixes.append((op, self.interval() if op in (Box, Diamond) else ()))
+        f = self.atom()
+        for op, interval in reversed(prefixes):
+            f = op(f, *interval)
+        return f
 
     def atom(self) -> Formula:
         kind, value, pos = self.next()
         if kind == "(":
+            self.parens += 1
+            if self.parens > MAX_NESTING:
+                raise ParseError(f"more than {MAX_NESTING} nested parentheses", pos)
             f = self.implies()
             self.expect(")")
+            self.parens -= 1
             return f
         if kind == "word":
             if value == "true":
@@ -389,4 +408,6 @@ def parse(text: str) -> Formula:
     kind, value, pos = p.peek()
     if kind != "eof":
         raise ParseError(f"unexpected trailing input {value!r}", pos)
+    if len(p.tokens) > MAX_NESTING:  # else too few operators to nest too deep
+        validate(f)
     return f

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import HardFault, QueOverflowError
-from .program import OPCODE_ARITY
 
 
 class _MaybeType:
@@ -31,6 +30,8 @@ class _MaybeType:
 MAYBE = _MaybeType()
 
 Interval = tuple[int, int]
+
+OPCODE_ARITY = {"wire": 1, "not": 1, "or": 2, "and": 2, "implies": 2}
 
 
 def am_result(opcode: str, op0: bool, op1: Optional[bool] = None) -> bool:
@@ -149,7 +150,10 @@ class EvaluatorMachine:
     ams: tuple[AmProgram, ...]
     head: int
     min_head: int
-    arity: int
+
+    @property
+    def arity(self) -> int:  # the number of operand streams
+        return len(stream_ports(self.ams))
 
 
 def em_build(kind: str, head: int, interval: Optional[Interval] = None) -> EvaluatorMachine:
@@ -158,6 +162,9 @@ def em_build(kind: str, head: int, interval: Optional[Interval] = None) -> Evalu
     kind is one of not/and/or/implies/next/box/diamond/until, plus the
     synthetic pass-through 'wire'. Interval operators require interval=(t1,t2);
     until with t1 >= 1 takes three machines, with t1 = 0 two.
+
+    The one table of operator shapes: compiler and fabric read it through
+    ``stream_ports``.
     """
     temporal = kind in ("box", "diamond", "until")
     if temporal:
@@ -170,20 +177,15 @@ def em_build(kind: str, head: int, interval: Optional[Interval] = None) -> Evalu
         raise ValueError(f"{kind} takes no interval")
 
     if kind in ("not", "and", "or", "implies", "wire"):
-        opcode = "wire" if kind == "wire" else kind
-        arity = 2 if kind in ("and", "or", "implies") else 1
-        ams = (AmProgram(opcode, 0, 1 if arity == 2 else None, (0, 0), (0, 0), True, True),)
+        op1 = 1 if OPCODE_ARITY[kind] == 2 else None
+        ams = (AmProgram(kind, 0, op1, (0, 0), (0, 0), True, True),)
     elif kind == "next":
-        arity = 1
         ams = (AmProgram("wire", 0, None, (1, 1), (1, 1), True, True),)
     elif kind == "box":
-        arity = 1
         ams = (AmProgram("wire", 0, None, (t2, t2), (t1, t2), True, True),)
     elif kind == "diamond":
-        arity = 1
         ams = (AmProgram("wire", 0, None, (t1, t2), (t2, t2), True, True),)
     elif kind == "until":
-        arity = 2
         if t1 >= 1:
             ams = (
                 AmProgram("wire", 0, None, (0, 0), (0, t1 - 1), False, True),
@@ -201,7 +203,24 @@ def em_build(kind: str, head: int, interval: Optional[Interval] = None) -> Evalu
     lo_head = min_head(kind, interval)
     if head < lo_head:
         raise ValueError(f"head {head} below the minimum {lo_head} for {kind}")
-    return EvaluatorMachine(kind, ams, head, lo_head, arity)
+    return EvaluatorMachine(kind, ams, head, lo_head)
+
+
+def stream_ports(ams: Sequence[AmProgram]) -> list[list[tuple[int, int]]]:
+    """For each operand stream of an EM, the (machine, slot) ports reading it:
+    first the port a que's reader fields name (the wire machine's if one
+    reads the stream, else the first reader's), then the taps, which the
+    fabric feeds from the named port's que."""
+    readers: dict[int, list[tuple[int, int]]] = {}
+    for m, am in enumerate(ams):
+        for slot, stream in enumerate((am.op0, am.op1)):
+            if stream is not None:
+                ports = readers.setdefault(stream, [])
+                if am.opcode == "wire":
+                    ports.insert(0, (m, slot))
+                else:
+                    ports.append((m, slot))
+    return [readers[s] for s in sorted(readers)]
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ Routing: the per-PE route fields are AP indices, meaningful only for
 operand slots whose source flag selects the AP bus (0 otherwise). Que-to-PE
 routing is carried by each que's reader fields. The multi-machine until
 realization needs its operand streams at more ports than one reader field
-can name; the extra taps are implied by the realization's fixed shape (two
-wire machines and an or machine on one result que) and reconstructed by
-``resolve_operands``, so the register widths stay untouched.
+can name. A reader field names a stream's first port in
+``machine.stream_ports``; ``resolve_operands`` feeds the later ports (taps)
+from ``em_build``'s until shapes, so the register widths stay untouched.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AllocationError
+from .machine import OPCODE_ARITY, em_build, stream_ports
 
 OPCODE_BITS = {"wire": 0, "not": 1, "or": 2, "and": 3, "implies": 4}
 OPCODE_NAMES = {v: k for k, v in OPCODE_BITS.items()}
-OPCODE_ARITY = {"wire": 1, "not": 1, "or": 2, "and": 2, "implies": 2}
 
 Fields = tuple[tuple[str, int], ...]
 
@@ -153,16 +153,25 @@ def slot_from_que(pe: PeConfig, slot: int) -> bool:
     return pe.op0_from_que if slot == 0 else pe.op1_from_que
 
 
+# (opcodes of an until realization's machines, tap) -> the port named for the
+# tap's stream, for both realizations (t1 = 0 and t1 >= 1); ports are (machine, slot).
+_UNTIL_TAPS = {
+    (tuple(am.opcode for am in ams), tap): ports[0]
+    for ams in (em_build("until", t1 + 1, (t1, t1)).ams for t1 in (0, 1))
+    for ports in stream_ports(ams)
+    for tap in ports[1:]
+}
+
+
 def resolve_operands(
     pes: tuple[PeConfig, ...], qs: tuple[QConfig, ...]
 ) -> dict[tuple[int, int], int]:
     """Map every que-sourced (pe, slot) port to the que that feeds it.
 
-    Primary routes come from the reader fields of the ques. An or machine
-    inside a multi-machine until shares the streams of its wire machines:
-    in a (wire, wire, or) result-que group the or taps the wires' first
-    operands, in an (or, wire) group it taps the wire for its second
-    operand. Anything else left unresolved is a misprogrammed monitor.
+    Primary routes come from the reader fields of the ques. A result-que
+    group whose writers have the opcodes of an until realization also
+    feeds each tap of that realization from its named port's que. Anything
+    else left unresolved is a misprogrammed monitor.
     """
     sources: dict[tuple[int, int], int] = {}
     for qid, q in enumerate(qs):
@@ -180,34 +189,20 @@ def resolve_operands(
         if pe.is_active:
             groups.setdefault(pe.r_qid, []).append(pid)
 
-    def unresolved(pid: int) -> list[int]:
-        pe = pes[pid]
-        return [
-            slot
-            for slot in range(OPCODE_ARITY[pe.opcode])
-            if slot_from_que(pe, slot) and (pid, slot) not in sources
-        ]
-
     for members in groups.values():
-        for pid in members:
-            missing = unresolved(pid)
-            if not missing:
-                continue
-            opcodes = [pes[m].opcode for m in members]
-            if opcodes == ["wire", "wire", "or"] and pid == members[2]:
-                taps = {0: (members[0], 0), 1: (members[1], 0)}
-            elif opcodes == ["or", "wire"] and pid == members[0]:
-                taps = {1: (members[1], 0)}
-            else:
-                raise AllocationError(
-                    f"PE{pid} operand {missing[0]} has no que routed to it"
-                )
-            for slot in missing:
-                if slot not in taps or taps[slot] not in sources:
+        for m, pid in enumerate(members):
+            pe = pes[pid]
+            for slot in range(OPCODE_ARITY[pe.opcode]):
+                if not slot_from_que(pe, slot) or (pid, slot) in sources:
+                    continue
+                shape = tuple(pes[p].opcode for p in members)
+                named = _UNTIL_TAPS.get((shape, (m, slot)))
+                port = None if named is None else (members[named[0]], named[1])
+                if port not in sources:
                     raise AllocationError(
                         f"PE{pid} operand {slot} has no que routed to it"
                     )
-                sources[(pid, slot)] = sources[taps[slot]]
+                sources[(pid, slot)] = sources[port]
     return sources
 
 

@@ -110,6 +110,7 @@ def check_formula(
     """Compile, run, and diff against the brute-force evaluation."""
     _require_width(trace, config)
     parsed = F.parse(f) if isinstance(f, str) else f
+    F.validate(parsed)  # before the recursive passes below
     text = F.pretty(parsed)
     reference = oracle_verdicts(parsed, trace)
     compiled = compile_formula(parsed, config, forced_heads)

@@ -231,6 +231,33 @@ def test_check_forced_head_fails(tmp_path):
     assert out.splitlines()[0].startswith("mismatch at time 0:")
 
 
+@pytest.mark.parametrize("text,code", [
+    ("!" * F.MAX_NESTING + "ap0", EXIT_OK),
+    ("!" * (F.MAX_NESTING + 1) + "ap0", EXIT_PARSE),
+    ("(" * F.MAX_NESTING + "ap0" + ")" * F.MAX_NESTING, EXIT_OK),
+    ("(" * (F.MAX_NESTING + 1) + "ap0" + ")" * (F.MAX_NESTING + 1), EXIT_PARSE),
+], ids=["operators-at", "operators-past", "parentheses-at", "parentheses-past"])
+def test_compile_at_and_past_the_nesting_limit(tmp_path, text, code):
+    got, _, err = run_cli("compile", "--formula", text, "--npe", "128", "--nq", "128",
+                          "--nap", "4", "--qsz", "16", "-o", str(tmp_path / "p.bit"))
+    assert got == code
+    if code == EXIT_PARSE:
+        assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--count", "abc"), ("--count", "-1"), ("--max-depth", "-1"),
+    ("--max-depth", str(F.MAX_NESTING + 1)), ("--max-t2", "-1"), ("--trace-len", "-5"),
+])
+def test_fuzz_rejects_bad_flag_values(flag, value):
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        main(["fuzz", "--seed", "1", "--count", "1", flag, value])
+    assert exit_.value.code == EXIT_PARSE
+    assert f"error: argument {flag}: " in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 def test_fuzz_is_deterministic():
     args = ("fuzz", "--seed", "1", "--count", "5", "--max-depth", "3", "--max-t2", "4")
     first = run_cli(*args)

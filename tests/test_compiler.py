@@ -6,16 +6,14 @@ from mtlmon import formula as F
 from mtlmon.bitstream import encode_program
 from mtlmon.compiler import (
     EmNode,
-    Wire,
     allocate,
     bfs_order,
     compile_formula,
     compute_heads,
     force_heads,
-    insert_wires,
     plan,
 )
-from mtlmon.errors import AllocationError
+from mtlmon.errors import AllocationError, ParseError
 from mtlmon.oracle import oracle_verdicts
 from mtlmon.program import FabricConfig, PeConfig, QConfig
 from mtlmon.toolchain import (
@@ -32,18 +30,27 @@ TABLE7_CFG = FabricConfig(8, 8, 4, 16)
 
 # -- balancing wires -----------------------------------------------------------
 
+def shape(node):
+    """A planned evaluator tree as nested (kind, interval, operands)."""
+    return (node.kind, node.interval,
+            [shape(op) if isinstance(op, EmNode) else op for op in node.operands])
+
+
 def test_wire_wraps_lone_ap_operand():
     f = F.Implies(F.AP(0), F.Next(F.AP(1)))
-    assert insert_wires(f) == F.Implies(Wire(F.AP(0)), F.Next(F.AP(1)))
+    assert shape(plan(f)) == ("implies", None, [("wire", None, [0]), ("next", None, [1])])
 
 
 def test_no_wire_when_both_operands_are_aps():
     f = F.And(F.AP(0), F.AP(1))
-    assert insert_wires(f) == f
+    assert shape(plan(f)) == ("and", None, [0, 1])
 
 
 def test_no_wire_when_both_operands_are_subtrees():
-    assert insert_wires(FIG_FORMULA) == FIG_FORMULA
+    assert shape(plan(FIG_FORMULA)) == ("or", None, [
+        ("diamond", (0, 1), [("not", None, [1])]),
+        ("diamond", (1, 4), [2]),
+    ])
 
 
 def test_unwired_operand_misaligns_the_fabric():
@@ -157,6 +164,15 @@ def test_until_from_zero_needs_two_pes():
     assert not isinstance(
         compile_formula(F.Until(F.AP(0), F.AP(1), 0, 2), FabricConfig(2, 4, 4, 16)), bool
     )
+
+
+def test_compile_checks_the_nesting_of_built_formulas():
+    f = F.AP(0)
+    for _ in range(F.MAX_NESTING):
+        f = F.Not(f)
+    assert compile_formula(f, FabricConfig(128, 128, 4, 16)).latency == 2 * F.MAX_NESTING
+    with pytest.raises(ParseError, match="operators deep"):
+        compile_formula(F.Not(f), FabricConfig(128, 128, 4, 16))
 
 
 def test_q_exhaustion():

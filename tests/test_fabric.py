@@ -6,7 +6,7 @@ import pytest
 from conftest import HOSTILE_CFG, gap_body, second_verdict_body, stray_writer_body
 from mtlmon import formula as F
 from mtlmon.bitstream import encode_program
-from mtlmon.compiler import compile_formula
+from mtlmon.compiler import allocate, compile_formula, plan
 from mtlmon.errors import AllocationError, BitstreamError, HardFault, ProtocolError, TraceError
 from mtlmon.fabric import Fabric
 from mtlmon.oracle import oracle_verdicts
@@ -170,6 +170,27 @@ def test_gap_between_offers_is_a_hard_fault():
         fabric.step([False] * HOSTILE_CFG.n_ap)
 
 
+def test_a_fault_stops_the_fabric_until_it_is_reprogrammed():
+    events = [[1, 1, 0]] * 7
+    fresh = Fabric(HOSTILE_CFG)
+    fresh.load(gap_body())
+    expected = [fresh.step(e) for e in events]
+    fabric = Fabric(HOSTILE_CFG)
+    fabric.load(gap_body())
+    with pytest.raises(HardFault):
+        fabric.step([0, 0, 0])
+    assert fabric.mode == "faulted"
+    for event in events:
+        with pytest.raises(ProtocolError, match="faulted"):
+            fabric.step(event)
+    with pytest.raises(ProtocolError, match="while faulted"):
+        fabric.load(gap_body())
+    fabric.begin_reprogram()
+    fabric.load(gap_body())
+    assert [fabric.step(e) for e in events] == expected
+    assert expected == [None] * 5 + [(0, True), (1, True)]
+
+
 def test_adjacent_offers_merge():
     # The unmodified until offers (0, 1), (2, 3) and (4, 4) to its bottom
     # on an all-false event: one span, no fault.
@@ -225,6 +246,23 @@ def test_unread_active_que_rejected():
     fabric = Fabric(program.config)
     with pytest.raises(AllocationError):
         fabric.load(encode_program(broken))
+
+
+@pytest.mark.parametrize("text,stream,tap", [
+    ("!ap0 U[1,2] !ap1", 0, (2, 0)),
+    ("!ap0 U[1,2] !ap1", 1, (2, 1)),
+    ("!ap0 U[0,2] !ap1", 1, (0, 1)),
+])
+def test_until_que_naming_the_or_port_is_rejected(text, stream, tap):
+    # Taps run one way only: the named port feeds the or machine's tap,
+    # never the other way round, so the wire is left without a source.
+    cfg = FabricConfig(8, 8, 4, 16)
+    root = plan(F.parse(text))
+    program = allocate(root, cfg)
+    child = root.operands[stream]
+    broken = _tamper(program, child.q_id, reader_pe=root.pe_ids[tap[0]], inp_no=tap[1])
+    with pytest.raises(AllocationError, match="operand 0 has no que routed to it"):
+        Fabric(cfg).load(encode_program(broken))
 
 
 def test_head_filling_whole_que_rejected():

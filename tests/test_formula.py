@@ -37,6 +37,41 @@ def test_parse_error_carries_position():
     assert err.value.position == 6
 
 
+N = F.MAX_NESTING
+
+
+@pytest.mark.parametrize("nest", [
+    lambda n: "!" * n + "ap0",
+    lambda n: "X " * n + "ap0",
+    lambda n: "G[0,1] " * n + "ap0",
+    lambda n: " -> ".join(["ap0"] * (n + 1)),
+    lambda n: " & ".join(["ap0"] * (n + 1)),
+    lambda n: " U[0,1] ".join(["ap0"] * (n + 1)),
+], ids=["not", "next", "box", "implies", "and", "until"])
+def test_operator_nesting_limit(nest):
+    F.parse(nest(N))
+    with pytest.raises(ParseError, match=f"more than {N} operators deep"):
+        F.parse(nest(N + 1))
+
+
+def test_parenthesis_nesting_limit():
+    assert F.parse("(" * N + "ap0" + ")" * N) == F.AP(0)
+    F.parse("!(" * N + "ap0" + ")" * N)  # both limits at once
+    with pytest.raises(ParseError, match=f"more than {N} nested parentheses") as err:
+        F.parse("(" * (N + 1) + "ap0" + ")" * (N + 1))
+    assert err.value.position == N
+
+
+def test_validate_checks_the_nesting_of_built_formulas():
+    f = F.AP(0)
+    for depth in range(1, 5001):
+        f = F.Not(f)
+        if depth == N:
+            F.validate(f)
+    with pytest.raises(ParseError, match=f"more than {N} operators deep"):
+        F.validate(f)  # iterative: no RecursionError at any depth
+
+
 def test_precedence():
     f = F.parse("!ap0 & ap1 | ap2 -> X ap3")
     assert f == F.Implies(

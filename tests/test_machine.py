@@ -19,6 +19,7 @@ from mtlmon.machine import (
     que_add,
     que_del,
     que_modify,
+    stream_ports,
 )
 from mtlmon.oracle import oracle_verdicts
 from mtlmon.trace import make_trace
@@ -132,6 +133,26 @@ def test_build_until_from_zero():
         AmProgram("or", 0, 1, (0, 0), (0, 2), False, True),
         AmProgram("wire", 1, None, (0, 3), (3, 3), True, True),
     )
+
+
+@pytest.mark.parametrize("kind,interval,ports", [
+    ("not", None, [[(0, 0)]]),
+    ("wire", None, [[(0, 0)]]),
+    ("next", None, [[(0, 0)]]),
+    ("box", (1, 4), [[(0, 0)]]),
+    ("diamond", (1, 4), [[(0, 0)]]),
+    ("and", None, [[(0, 0)], [(0, 1)]]),
+    ("or", None, [[(0, 0)], [(0, 1)]]),
+    ("implies", None, [[(0, 0)], [(0, 1)]]),
+    # (wire, wire, or): each wire's port is named, the or taps both
+    ("until", (1, 2), [[(0, 0), (2, 0)], [(1, 0), (2, 1)]]),
+    # (or, wire): the or's port is named for stream 0, the wire's for stream 1
+    ("until", (0, 3), [[(0, 0)], [(1, 0), (0, 1)]]),
+])
+def test_stream_ports_name_a_wire_port_first(kind, interval, ports):
+    em = em_build(kind, min_head(kind, interval), interval)
+    assert stream_ports(em.ams) == ports
+    assert em.arity == len(ports)
 
 
 def test_build_rejects_small_head_and_bad_interval():
@@ -352,7 +373,6 @@ def test_overlapping_writers_trip_the_disjointness_fault():
         ),
         head=1,
         min_head=1,
-        arity=1,
     )
     with pytest.raises(HardFault):
         em_step(rogue, empty_que(4), T)

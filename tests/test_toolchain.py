@@ -4,7 +4,7 @@ import pytest
 
 from mtlmon import formula as F
 from mtlmon.compiler import compile_formula
-from mtlmon.errors import TraceError
+from mtlmon.errors import ParseError, TraceError
 from mtlmon.program import FabricConfig, resolve_operands
 from mtlmon.toolchain import (
     DEFAULT_CONFIG,
@@ -78,6 +78,22 @@ def test_check_report_shape():
     assert report.programming_cycles == DEFAULT_CONFIG.body_bytes
     assert report.run_cycles == 30
     assert [t for t, _ in report.verdicts] == list(range(30 - report.latency + 1))
+
+
+def test_check_at_the_nesting_limit():
+    # Every pass, from the parser to the fabric and the oracle, at the
+    # deepest formula the limit admits; one level more fails before any of
+    # them recurses.
+    n = F.MAX_NESTING
+    cfg = FabricConfig(128, 128, 4, 16)
+    trace = random_trace(random.Random(4), 2 * n + 10, cfg.n_ap)
+    report = check_formula("!(" * n + "ap0" + ")" * n, cfg, trace)
+    assert report.ok and len(report.verdicts) == 11
+    deeper = F.AP(0)
+    for _ in range(n + 1):
+        deeper = F.Not(deeper)
+    with pytest.raises(ParseError, match="operators deep"):
+        check_formula(deeper, cfg, trace)
 
 
 def test_random_trace_without_rows_keeps_its_width():
