@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mtlmon import formula as F
 from mtlmon.bitstream import encode_program
 from mtlmon.compiler import compile_formula
+from mtlmon.errors import AllocationError
 from mtlmon.program import FabricConfig
 
 MAX_T2 = 6
@@ -13,6 +14,40 @@ MAX_T2 = 6
 # n_q = 6 is not a power of two, so the 3-bit que-id fields can name ques
 # the fabric does not have.
 HOSTILE_CFG = FabricConfig(5, 6, 3, 12)
+
+# Programs whose bodies, with a few bits flipped, seed the hostile-body corpus.
+SEED_FORMULAS = (
+    "!ap0", "ap0 & ap1", "X X ap1", "ap0 U[0,2] ap1", "ap1 U[1,3] !ap0",
+    "F[0,1] !ap1 | F[1,4] ap0", "G[0,3] (ap0 -> X ap1)",
+)
+
+
+def random_bodies(rng: random.Random, cfg: FabricConfig, count: int):
+    """Seeded bodies for cfg, in turn: uniform random bytes, sparse random
+    bits (most records inactive), and compiled bodies with 1-3 bits flipped.
+    Half of the random ones get their padding cleared, so they reach the
+    record checks behind it."""
+    seeds = []
+    for text in SEED_FORMULAS:
+        try:
+            seeds.append(encode_program(compile_formula(F.parse(text), cfg)))
+        except AllocationError:
+            pass
+    pad = cfg.body_bytes * 8 - cfg.body_bits
+    for i in range(count):
+        if i % 3 == 2:
+            body = bytearray(rng.choice(seeds))
+            for _ in range(rng.randint(1, 3)):
+                bit = rng.randrange(cfg.body_bits)
+                body[bit // 8] ^= 0x80 >> (bit % 8)
+        else:
+            p = 0.5 if i % 3 == 0 else 0.04
+            body = bytearray(
+                sum((rng.random() < p) << b for b in range(8)) for _ in range(cfg.body_bytes)
+            )
+            if pad and rng.random() < 0.5:
+                body[-1] &= 0xFF << pad & 0xFF
+        yield bytes(body)
 
 
 def interval_strategy():
@@ -106,3 +141,16 @@ def gap_body() -> bytes:
     program = compile_formula(F.parse("ap0 U[2,4] ap1"), HOSTILE_CFG)
     pes = (dataclasses.replace(program.pes[0], bot_interval=(0, 0)),) + program.pes[1:]
     return encode_program(dataclasses.replace(program, pes=pes))
+
+
+def two_faults_body() -> bytes:
+    """The body of G[0,4] ap0 & G[0,4] ap1 on HOSTILE_CFG with both child
+    heads lowered to 0 and their ques swapped, so that PE0 writes Q1 and PE1
+    writes Q0: it loads, then both child ques delete an unresolved cell on
+    the first event with ap0 and ap1 set."""
+    program = compile_formula(F.parse("G[0,4] ap0 & G[0,4] ap1"), HOSTILE_CFG)
+    q0, q1 = (dataclasses.replace(q, head=0) for q in program.qs[:2])
+    p0, p1 = program.pes[:2]
+    pes = (dataclasses.replace(p0, r_qid=p1.r_qid), dataclasses.replace(p1, r_qid=p0.r_qid))
+    return encode_program(dataclasses.replace(
+        program, pes=pes + program.pes[2:], qs=(q1, q0) + program.qs[2:]))

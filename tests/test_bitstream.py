@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import HOSTILE_CFG, second_verdict_body
+from conftest import HOSTILE_CFG, random_bodies, second_verdict_body
 from mtlmon import formula as F
 from mtlmon.bitstream import (
     decode_file,
@@ -16,40 +16,6 @@ from mtlmon.compiler import compile_formula
 from mtlmon.errors import AllocationError, BitstreamError
 from mtlmon.program import FabricConfig, ceil_log2, derive_latency
 from mtlmon.toolchain import DEFAULT_CONFIG, random_formula
-
-# Programs whose bodies, with a few bits flipped, seed the hostile-body corpus.
-SEED_FORMULAS = (
-    "!ap0", "ap0 & ap1", "X X ap1", "ap0 U[0,2] ap1", "ap1 U[1,3] !ap0",
-    "F[0,1] !ap1 | F[1,4] ap0", "G[0,3] (ap0 -> X ap1)",
-)
-
-
-def random_bodies(rng: random.Random, cfg: FabricConfig, count: int):
-    """Seeded bodies for cfg, in turn: uniform random bytes, sparse random
-    bits (most records inactive), and compiled bodies with 1-3 bits flipped.
-    Half of the random ones get their padding cleared, so they reach the
-    record checks behind it."""
-    seeds = []
-    for text in SEED_FORMULAS:
-        try:
-            seeds.append(encode_program(compile_formula(F.parse(text), cfg)))
-        except AllocationError:
-            pass
-    pad = cfg.body_bytes * 8 - cfg.body_bits
-    for i in range(count):
-        if i % 3 == 2:
-            body = bytearray(rng.choice(seeds))
-            for _ in range(rng.randint(1, 3)):
-                bit = rng.randrange(cfg.body_bits)
-                body[bit // 8] ^= 0x80 >> (bit % 8)
-        else:
-            p = 0.5 if i % 3 == 0 else 0.04
-            body = bytearray(
-                sum((rng.random() < p) << b for b in range(8)) for _ in range(cfg.body_bytes)
-            )
-            if pad and rng.random() < 0.5:
-                body[-1] &= 0xFF << pad & 0xFF
-        yield bytes(body)
 
 
 def test_ceil_log2():

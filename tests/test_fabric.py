@@ -1,9 +1,17 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
 
-from conftest import HOSTILE_CFG, gap_body, second_verdict_body, stray_writer_body
+from conftest import (
+    HOSTILE_CFG,
+    gap_body,
+    random_bodies,
+    second_verdict_body,
+    stray_writer_body,
+    two_faults_body,
+)
 from mtlmon import formula as F
 from mtlmon.bitstream import encode_program
 from mtlmon.compiler import allocate, compile_formula, plan
@@ -12,6 +20,7 @@ from mtlmon.fabric import Fabric
 from mtlmon.oracle import oracle_verdicts
 from mtlmon.program import FabricConfig, QConfig
 from mtlmon.toolchain import (
+    DEFAULT_CONFIG,
     check_formula,
     diff_verdicts,
     expected_emission,
@@ -168,6 +177,15 @@ def test_gap_between_offers_is_a_hard_fault():
     assert fabric.mode == "running"
     with pytest.raises(HardFault, match="Q0 bot offers leave cell 1 uncovered"):
         fabric.step([False] * HOSTILE_CFG.n_ap)
+
+
+def test_ques_faulting_in_one_cycle_report_the_lowest_qid():
+    # PE0 writes Q1 and PE1 writes Q0; both ques fault on the first event.
+    fabric = Fabric(HOSTILE_CFG)
+    fabric.load(two_faults_body())
+    with pytest.raises(HardFault, match="^Q0 deleted unresolved cell at head 0"):
+        fabric.step([1, 1, 0])
+    assert fabric.mode == "faulted"
 
 
 def test_a_fault_stops_the_fabric_until_it_is_reprogrammed():
@@ -334,3 +352,34 @@ def test_hostile_bodies_are_rejected_at_load():
         Fabric(HOSTILE_CFG).load(second_verdict_body())
     with pytest.raises(AllocationError, match="writes que 7"):
         Fabric(HOSTILE_CFG).load(stray_writer_body())
+
+
+def test_run_outcomes_of_hostile_bodies_are_pinned():
+    # What the fabric makes of an arbitrary body is part of the contract:
+    # its verdicts over seeded events, or the error class and message and
+    # the index of the event that raised it (-1 at load). Any change to
+    # either shows up as a different digest.
+    rng = random.Random(2605)
+    digest = hashlib.sha256()
+    counts = [0, 0, 0]  # load errors, clean runs, mid-run faults
+    for cfg in (HOSTILE_CFG, FabricConfig(8, 8, 4, 16), FabricConfig(3, 3, 2, 5), DEFAULT_CONFIG):
+        for body in random_bodies(rng, cfg, 1500):
+            bits = rng.getrandbits(30 * cfg.n_ap)
+            events = [[bits >> (t * cfg.n_ap + k) & 1 for k in range(cfg.n_ap)] for t in range(30)]
+            fabric = Fabric(cfg)
+            verdicts, index = [], -1
+            try:
+                fabric.load(body)
+                for index, event in enumerate(events):
+                    verdicts.append(fabric.step(event))
+            except Exception as exc:  # pin whatever escapes, whatever its class
+                outcome = f"{index} {type(exc).__name__}: {exc}"
+                counts[0 if index < 0 else 2] += 1
+            else:
+                outcome = repr(verdicts)
+                counts[1] += 1
+            digest.update(outcome.encode() + b"\n")
+    assert counts == [3295, 2474, 231]
+    assert digest.hexdigest() == (
+        "91906a2051aa86014bba879050b78fe284c0400cd642592ce25096d2294ad7d4"
+    )
