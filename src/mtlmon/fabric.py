@@ -6,20 +6,22 @@ interconnect phases:
 
 1. que -> PE: the values each que deleted at the end of the previous cycle
    are on the que->PE crossbar; a PE operand port programmed with source
-   "que" reads the value of its routed que.
-2. PE: every active PE whose operand values are all present computes its
-   boolean result and offers the selected interval (top on true, bottom on
-   false) to its result que; empty-sentinel intervals offer nothing. A que
-   none of whose writers computed (pipeline warm-up) idles this cycle.
-3. PE -> que: offers targeting one que are ORed per polarity into a
-   single top mask and a single bottom mask; a mask whose set bits are not
-   one contiguous run is a hard fault. The check runs only after every
-   offer of the cycle is in, because until's three machines close the
+   "que" reads the value of its routed que. Every read of a cycle sees the
+   previous cycle's deliveries, however far the ques have updated.
+2. PE: each que, in ascending id, runs its writer PEs. Every writer whose
+   operand values are all present computes its boolean result and offers
+   the selected interval (top on true, bottom on false); empty-sentinel
+   intervals offer nothing. A que none of whose writers computed
+   (pipeline warm-up) idles this cycle.
+3. PE -> que: the que ORs its writers' offers per polarity into a single
+   top mask and a single bottom mask; a mask whose set bits are not one
+   contiguous run is a hard fault. The check runs only after all of the
+   que's writers have offered, because until's three machines close the
    span together.
-4. que: every driven que adds, applies the true-modify then the
-   false-modify, then deletes at its head; the deleted value is latched
-   onto the que->PE crossbar for the next cycle, except the verdict que's
-   value, which leaves through the output port immediately.
+4. que: the que then adds, applies the true-modify then the false-modify,
+   then deletes at its head; the deleted value is latched onto the
+   que->PE crossbar for the next cycle, except the verdict que's value,
+   which leaves through the output port immediately.
 
 A que is three ints, [occupancy, known, value], with bit k standing for
 cell k and cell 0 the newest: add shifts both masks left by one; modify
@@ -77,9 +79,6 @@ class Fabric:
         self._ques: list[list[int]] = [[0, 0, 0] for _ in range(config.n_q)]
         self._delivered: list = [None] * config.n_q
         self._plan: list = []
-        self._heads: list[int] = [0] * config.n_q
-        self._driven_qids: list[int] = []
-        self._verdict_qid: Optional[int] = None
 
     # -- programming port ---------------------------------------------------
 
@@ -112,67 +111,36 @@ class Fabric:
     def _latch(self, program: MonitorProgram) -> None:
         """Validate the decoded records and latch them as the datapath plan.
 
-        Each active PE becomes one plan entry holding its truth table, built
-        from ``am_result`` over every operand combination (entry v0 for one
-        operand, v0 + 2*v1 for two), and its (bottom, top) interval masks,
-        indexed by its result. Deriving the latency also rejects cyclic
-        que routing.
+        One pass checks the PEs in pid order, then the ques, and groups the
+        active PEs by result que. The plan holds one entry per driven que,
+        in ascending qid: (qid, head, is_verdict, writers). A writer is its
+        truth table, indexed by v0 + 2*v1 and built from ``am_result``; its
+        two operand ports as (from_que, index), a unary PE reading its one
+        port twice and so using entries 0 and 3; and its (bottom, top)
+        interval masks, indexed by its result. Deriving the latency also
+        rejects cyclic que routing.
         """
-        sources = self._validate(program)
-        latency = derive_latency(program.pes, program.qs, sources)
-        self.program = program
-        self.latency = latency
         cfg = self.config
-        self._plan = []
-        for pid, pe in enumerate(program.pes):
-            if not pe.is_active:
-                continue
-            arity = OPCODE_ARITY[pe.opcode]
-            idx = [0, 0]
-            for slot in range(arity):
-                if (pid, slot) in sources:
-                    idx[slot] = sources[(pid, slot)]
-                else:
-                    idx[slot] = program.routes[pid][slot]
-            if arity == 1:
-                table = (am_result(pe.opcode, False), am_result(pe.opcode, True))
-            else:
-                table = tuple(am_result(pe.opcode, bool(i & 1), bool(i & 2)) for i in range(4))
-            self._plan.append((
-                table,
-                arity,
-                pe.op0_from_que,
-                idx[0],
-                pe.op1_from_que,
-                idx[1],
-                (_mask(pe.bot_interval), _mask(pe.top_interval)),
-                pe.r_qid,
-            ))
-        self._heads = [q.head for q in program.qs]
-        self._driven_qids = sorted({rec[7] for rec in self._plan})
-        self._verdict_qid = program.verdict_qid
-        self._ques = [[0, 0, 0] for _ in range(cfg.n_q)]
-        self._delivered = [None] * cfg.n_q
-        self.run_cycle = 0
-        self.mode = "running"
-
-    def _validate(self, program: MonitorProgram) -> dict[tuple[int, int], int]:
-        cfg = self.config
-        sources = resolve_operands(program.pes, program.qs)
-        for pid, pe in enumerate(program.pes):
+        pes, qs = program.pes, program.qs
+        sources = resolve_operands(pes, qs)
+        writers: dict[int, list] = {}
+        for pid, pe in enumerate(pes):
             if not pe.is_active:
                 continue
             if pe.r_qid >= cfg.n_q:
                 raise AllocationError(f"PE{pid} writes que {pe.r_qid}, n_q={cfg.n_q}")
-            if not program.qs[pe.r_qid].is_active:
+            if not qs[pe.r_qid].is_active:
                 raise AllocationError(f"PE{pid} writes inactive que {pe.r_qid}")
             for name, iv in (("top", pe.top_interval), ("bot", pe.bot_interval)):
                 if not is_empty(iv) and not (0 <= iv[0] <= iv[1] < cfg.q_sz):
                     raise AllocationError(f"PE{pid} {name} interval {iv} exceeds que size")
-            for slot in range(OPCODE_ARITY[pe.opcode]):
-                if slot_from_que(pe, slot):
+            arity = OPCODE_ARITY[pe.opcode]
+            ports = []
+            for slot in range(arity):
+                from_que = slot_from_que(pe, slot)
+                if from_que:
                     src = sources[(pid, slot)]
-                    if not program.qs[src].is_active:
+                    if not qs[src].is_active:
                         raise AllocationError(
                             f"PE{pid} operand {slot} reads inactive que {src}"
                         )
@@ -182,7 +150,12 @@ class Fabric:
                         raise AllocationError(
                             f"PE{pid} operand {slot} reads ap{src}, n_ap={cfg.n_ap}"
                         )
-        for qid, q in enumerate(program.qs):
+                ports.append((from_que, src))
+            table = tuple(am_result(pe.opcode, *(bool(i & 1), bool(i & 2))[:arity])
+                          for i in range(4))
+            masks = (_mask(pe.bot_interval), _mask(pe.top_interval))
+            writers.setdefault(pe.r_qid, []).append((table, ports[0], ports[-1], masks))
+        for qid, q in enumerate(qs):
             if not q.is_active:
                 continue
             if q.head >= cfg.q_sz:
@@ -190,7 +163,7 @@ class Fabric:
             if q.is_verdict:
                 continue
             pid, slot = q.reader_pe, q.inp_no
-            pe = program.pes[pid] if pid < cfg.n_pe else None
+            pe = pes[pid] if pid < cfg.n_pe else None
             if (
                 pe is None
                 or not pe.is_active
@@ -200,7 +173,14 @@ class Fabric:
                 raise AllocationError(
                     f"Q{qid} names reader PE{pid}.{slot}, which does not take que input"
                 )
-        return sources
+        self.latency = derive_latency(pes, qs, sources)
+        self.program = program
+        self._plan = [(qid, qs[qid].head, qs[qid].is_verdict, ws)
+                      for qid, ws in sorted(writers.items())]
+        self._ques = [[0, 0, 0] for _ in range(cfg.n_q)]
+        self._delivered = [None] * cfg.n_q
+        self.run_cycle = 0
+        self.mode = "running"
 
     # -- datapath ------------------------------------------------------------
 
@@ -213,62 +193,56 @@ class Fabric:
         if len(ap_values) != cfg.n_ap:
             raise TraceError(f"event width {len(ap_values)} != n_ap {cfg.n_ap}")
 
-        delivered = self._delivered
-        offers: dict[int, list[int]] = {}  # qid -> [bottom mask, top mask]
-        for table, arity, q0, r0, q1, r1, masks, rqid in self._plan:
-            v0 = delivered[r0] if q0 else ap_values[r0]
-            if v0 is None:
-                continue
-            if arity == 2:
-                v1 = delivered[r1] if q1 else ap_values[r1]
-                if v1 is None:
-                    continue
-                res = table[v0 + 2 * v1]
-            else:
-                res = table[v0]
-            offer = offers.get(rqid)
-            if offer is None:
-                offer = offers[rqid] = [0, 0]
-            offer[res] |= masks[res]
-
+        reads = (ap_values, self._delivered)
         new_delivered: list = [None] * cfg.n_q
         out: Optional[bool] = None
-        self.mode = "faulted"  # until every que has updated without a HardFault
-        for qid in self._driven_qids:
-            if qid not in offers:
-                continue
-            que = self._ques[qid]
-            occ, known, value = que
-            if occ >= cfg.q_sz:
-                raise HardFault(f"Q{qid} overflow at capacity {cfg.q_sz}")
-            bot, top = offers[qid]
-            for mask, polarity in ((top, "top"), (bot, "bot")):
-                carry = mask + (mask & -mask)  # clears the lowest run of cells
-                if mask & carry:
-                    gap = (carry & -carry).bit_length() - 1
-                    raise HardFault(f"Q{qid} {polarity} offers leave cell {gap} uncovered")
-            occ += 1  # add: the new cell 0 is unknown
-            live = (1 << occ) - 1
-            known <<= 1
-            new = top & live & ~known
-            value = value << 1 | new
-            known |= new | bot & live
-            head = self._heads[qid]
-            if occ > head:
-                assert occ == head + 1, "occupancy ran past head+1"
-                cell = 1 << head
-                if not known & cell:
-                    raise HardFault(
-                        f"Q{qid} deleted unresolved cell at head {head}: misprogrammed head"
-                    )
-                bit = bool(value & cell)
-                if qid == self._verdict_qid:
-                    out = bit
-                else:
-                    new_delivered[qid] = bit
-                occ, known, value = head, known ^ cell, value & ~cell
-            que[:] = occ, known, value
-        self.mode = "running"
+        try:
+            for qid, head, is_verdict, writers in self._plan:
+                offer = None  # [bottom mask, top mask] once a writer computes
+                for table, (q0, r0), (q1, r1), masks in writers:
+                    v0 = reads[q0][r0]
+                    v1 = reads[q1][r1]
+                    if v0 is None or v1 is None:
+                        continue
+                    res = table[v0 + 2 * v1]
+                    if offer is None:
+                        offer = [0, 0]
+                    offer[res] |= masks[res]
+                if offer is None:
+                    continue
+                que = self._ques[qid]
+                occ, known, value = que
+                if occ >= cfg.q_sz:
+                    raise HardFault(f"Q{qid} overflow at capacity {cfg.q_sz}")
+                bot, top = offer
+                for mask, polarity in ((top, "top"), (bot, "bot")):
+                    carry = mask + (mask & -mask)  # clears the lowest run of cells
+                    if mask & carry:
+                        gap = (carry & -carry).bit_length() - 1
+                        raise HardFault(f"Q{qid} {polarity} offers leave cell {gap} uncovered")
+                occ += 1  # add: the new cell 0 is unknown
+                live = (1 << occ) - 1
+                known <<= 1
+                new = top & live & ~known
+                value = value << 1 | new
+                known |= new | bot & live
+                if occ > head:
+                    assert occ == head + 1, "occupancy ran past head+1"
+                    cell = 1 << head
+                    if not known & cell:
+                        raise HardFault(
+                            f"Q{qid} deleted unresolved cell at head {head}: misprogrammed head"
+                        )
+                    bit = bool(value & cell)
+                    if is_verdict:
+                        out = bit
+                    else:
+                        new_delivered[qid] = bit
+                    occ, known, value = head, known ^ cell, value & ~cell
+                que[:] = occ, known, value
+        except HardFault:
+            self.mode = "faulted"  # until begin_reprogram
+            raise
 
         self._delivered = new_delivered
         cycle = self.run_cycle

@@ -188,6 +188,16 @@ def test_ques_faulting_in_one_cycle_report_the_lowest_qid():
     assert fabric.mode == "faulted"
 
 
+def test_a_bad_event_value_leaves_the_fabric_running():
+    fabric, _ = loaded_fabric("!ap0", SMALL)
+    with pytest.raises(TypeError):
+        fabric.step(["x"] * SMALL.n_ap)
+    assert fabric.mode == "running"
+    fresh, _ = loaded_fabric("!ap0", SMALL)
+    trace = pad([[1], [0], [1]], 8)
+    assert stream_trace(fabric, trace) == stream_trace(fresh, trace) != []
+
+
 def test_a_fault_stops_the_fabric_until_it_is_reprogrammed():
     events = [[1, 1, 0]] * 7
     fresh = Fabric(HOSTILE_CFG)
