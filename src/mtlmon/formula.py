@@ -12,7 +12,9 @@ Concrete syntax
 Interval bounds are non-negative integers with a <= b (b finite).
 No atom may lie under more than ``MAX_NESTING`` operators, nor text open more
 than MAX_NESTING parentheses at once (ParseError), so every recursive pass
-stays well inside Python's default limit of 1000 frames.
+stays well inside Python's default limit of 1000 frames. ``validate`` checks
+a whole tree; ``semantic_future``, ``constant_fold`` and ``pretty`` raise the
+same ParseError as they recurse past MAX_NESTING, for trees built in code.
 ``semantic_future`` counts how many future events a verdict depends on; it
 defines the range of trace positions on which a verdict is determined. The
 operator minimum heads and the monitor latency belong to the hardware and
@@ -102,6 +104,13 @@ def _check_interval(lo: int, hi: int, pos: int | None = None) -> None:
         raise IntervalError(f"bad interval [{lo},{hi}]: need 0 <= lo <= hi", pos)
 
 
+def _deeper(depth: int) -> int:
+    """The depth of a child of a node at depth; ParseError past MAX_NESTING."""
+    if depth >= MAX_NESTING:
+        raise ParseError(f"formula nests more than {MAX_NESTING} operators deep")
+    return depth + 1
+
+
 def validate(f: Formula) -> None:
     """Reject out-of-order intervals, negative AP indices and nesting past
     MAX_NESTING anywhere in f, in pre-order; iterative, so any depth is
@@ -109,14 +118,12 @@ def validate(f: Formula) -> None:
     stack = [(f, 0)]
     while stack:
         node, depth = stack.pop()
-        if depth > MAX_NESTING:
-            raise ParseError(f"formula nests more than {MAX_NESTING} operators deep")
         if isinstance(node, TEMPORAL):
             _check_interval(node.lo, node.hi)
         if isinstance(node, AP) and node.index < 0:
             raise ParseError(f"negative AP index {node.index}")
         for child in reversed(children(node)):
-            stack.append((child, depth + 1))
+            stack.append((child, _deeper(depth)))
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
@@ -140,23 +147,24 @@ def ap_indices(f: Formula) -> set[int]:
 # Semantic lookahead
 # ---------------------------------------------------------------------------
 
-def semantic_future(f: Formula) -> int:
+def semantic_future(f: Formula, depth: int = 0) -> int:
     """Number of future events a verdict at time i depends on.
 
     The verdict for time i is fully determined by events i .. i+N.
     """
     if isinstance(f, (TrueConst, AP)):
         return 0
+    d = _deeper(depth)
     if isinstance(f, Not):
-        return semantic_future(f.child)
+        return semantic_future(f.child, d)
     if isinstance(f, (And, Or, Implies)):
-        return max(semantic_future(f.left), semantic_future(f.right))
+        return max(semantic_future(f.left, d), semantic_future(f.right, d))
     if isinstance(f, Next):
-        return 1 + semantic_future(f.child)
+        return 1 + semantic_future(f.child, d)
     if isinstance(f, Until):
-        return f.hi + max(semantic_future(f.left), semantic_future(f.right))
+        return f.hi + max(semantic_future(f.left, d), semantic_future(f.right, d))
     if isinstance(f, (Box, Diamond)):
-        return f.hi + semantic_future(f.child)
+        return f.hi + semantic_future(f.child, d)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -164,7 +172,7 @@ def semantic_future(f: Formula) -> int:
 # Constant folding
 # ---------------------------------------------------------------------------
 
-def constant_fold(f: Formula) -> Formula | bool:
+def constant_fold(f: Formula, depth: int = 0) -> Formula | bool:
     """Eliminate every constant node, or reduce the whole formula to a bool.
 
     The fabric has no constant-input source, so allocation requires a
@@ -176,41 +184,42 @@ def constant_fold(f: Formula) -> Formula | bool:
         return True
     if isinstance(f, AP):
         return f
+    d = _deeper(depth)
     if isinstance(f, Not):
-        c = constant_fold(f.child)
+        c = constant_fold(f.child, d)
         return (not c) if isinstance(c, bool) else Not(c)
     if isinstance(f, And):
-        l, r = constant_fold(f.left), constant_fold(f.right)
+        l, r = constant_fold(f.left, d), constant_fold(f.right, d)
         if isinstance(l, bool):
             return r if l else False
         if isinstance(r, bool):
             return l if r else False
         return And(l, r)
     if isinstance(f, Or):
-        l, r = constant_fold(f.left), constant_fold(f.right)
+        l, r = constant_fold(f.left, d), constant_fold(f.right, d)
         if isinstance(l, bool):
             return True if l else r
         if isinstance(r, bool):
             return True if r else l
         return Or(l, r)
     if isinstance(f, Implies):
-        l, r = constant_fold(f.left), constant_fold(f.right)
+        l, r = constant_fold(f.left, d), constant_fold(f.right, d)
         if isinstance(l, bool):
             return r if l else True
         if isinstance(r, bool):
             return True if r else Not(l)
         return Implies(l, r)
     if isinstance(f, Next):
-        c = constant_fold(f.child)
+        c = constant_fold(f.child, d)
         return c if isinstance(c, bool) else Next(c)
     if isinstance(f, Box):
-        c = constant_fold(f.child)
+        c = constant_fold(f.child, d)
         return c if isinstance(c, bool) else Box(c, f.lo, f.hi)
     if isinstance(f, Diamond):
-        c = constant_fold(f.child)
+        c = constant_fold(f.child, d)
         return c if isinstance(c, bool) else Diamond(c, f.lo, f.hi)
     if isinstance(f, Until):
-        l, r = constant_fold(f.left), constant_fold(f.right)
+        l, r = constant_fold(f.left, d), constant_fold(f.right, d)
         if isinstance(r, bool) and not r:
             return False  # no witness position can ever satisfy r
         if isinstance(l, bool) and isinstance(r, bool):
@@ -239,22 +248,23 @@ _UNARY_PREC = 5
 
 def pretty(f: Formula) -> str:
     """Render with the minimum parentheses the grammar needs."""
-    return _pretty(f, 0)
+    return _pretty(f, 0, 0)
 
 
-def _pretty(f: Formula, parent_prec: int) -> str:
+def _pretty(f: Formula, parent_prec: int, depth: int) -> str:
     if isinstance(f, TrueConst):
         return "true"
     if isinstance(f, AP):
         return f"ap{f.index}"
+    d = _deeper(depth)
     if isinstance(f, Not):
-        return "!" + _pretty(f.child, _UNARY_PREC)
+        return "!" + _pretty(f.child, _UNARY_PREC, d)
     if isinstance(f, Next):
-        return "X " + _pretty(f.child, _UNARY_PREC)
+        return "X " + _pretty(f.child, _UNARY_PREC, d)
     if isinstance(f, Box):
-        return f"G[{f.lo},{f.hi}] " + _pretty(f.child, _UNARY_PREC)
+        return f"G[{f.lo},{f.hi}] " + _pretty(f.child, _UNARY_PREC, d)
     if isinstance(f, Diamond):
-        return f"F[{f.lo},{f.hi}] " + _pretty(f.child, _UNARY_PREC)
+        return f"F[{f.lo},{f.hi}] " + _pretty(f.child, _UNARY_PREC, d)
     prec = _PREC[type(f)]
     sym = {And: "&", Or: "|", Implies: "->"}.get(type(f))
     right_assoc = isinstance(f, (Implies, Until))
@@ -264,7 +274,7 @@ def _pretty(f: Formula, parent_prec: int) -> str:
     # other side must bind strictly tighter.
     lp = prec + 1 if right_assoc else prec
     rp = prec if right_assoc else prec + 1
-    text = f"{_pretty(f.left, lp)} {sym} {_pretty(f.right, rp)}"
+    text = f"{_pretty(f.left, lp, d)} {sym} {_pretty(f.right, rp, d)}"
     if prec < parent_prec:
         return "(" + text + ")"
     return text
@@ -302,6 +312,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _int(digits: str, pos: int) -> int:
+    """A decimal literal; ParseError past Python's int-conversion digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"number of {len(digits)} digits is too long", pos) from None
+
+
 _PREFIX = {"!": Not, "X": Next, "G": Box, "F": Diamond}
 
 
@@ -328,9 +346,9 @@ class _Parser:
 
     def interval(self) -> tuple[int, int]:
         _, _, pos = self.expect("[")
-        lo = int(self.expect("num")[1])
+        lo = _int(*self.expect("num")[1:])
         self.expect(",")
-        hi = int(self.expect("num")[1])
+        hi = _int(*self.expect("num")[1:])
         self.expect("]")
         _check_interval(lo, hi, pos)
         return lo, hi
@@ -396,7 +414,7 @@ class _Parser:
                 return TrueConst()
             m = re.fullmatch(r"ap(\d+)", value)
             if m:
-                return AP(int(m.group(1)))
+                return AP(_int(m.group(1), pos))
             raise ParseError(f"unknown name {value!r}", pos)
         raise ParseError(f"expected a formula, found {value or 'end of input'!r}", pos)
 

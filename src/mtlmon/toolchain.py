@@ -41,7 +41,7 @@ class RunReport:
 
 
 def run_program(program: MonitorProgram, trace: Trace) -> tuple[list[tuple[int, bool]], Fabric]:
-    """Program a fresh fabric byte by byte and step it over the trace."""
+    """Program a fresh fabric in one load of the body and step it over the trace."""
     fabric = Fabric(program.config)
     fabric.load(encode_program(program))
     return stream_trace(fabric, trace), fabric

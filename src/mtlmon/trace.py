@@ -56,8 +56,11 @@ def make_trace(rows: Iterable[Sequence[int | bool]], width: int | None = None) -
 
 
 def read_trace(path: str) -> Trace:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError:
+        raise TraceError(f"{path}: not UTF-8 text") from None
     if not lines:
         raise TraceError(f"{path}: empty trace file")
     header = lines[0].split(",")

@@ -77,6 +77,27 @@ def test_parse_error_exit_code(tmp_path):
     assert "interval" in err
 
 
+@pytest.mark.parametrize(
+    "formula", ["G[0," + "9" * 5000 + "] ap0", "ap" + "9" * 5000], ids=["bound", "ap"]
+)
+def test_huge_integer_literal_exit_code(tmp_path, formula):
+    code, out, err = run_cli(
+        "compile", "--formula", formula, *FIG_ARGS, "-o", str(tmp_path / "x.bit")
+    )
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error: number of 5000 digits") and err.count("\n") == 1
+
+
+def test_check_rejects_a_trace_that_is_not_utf8(tmp_path):
+    trace = tmp_path / "t.csv"
+    trace.write_bytes(b"time,ap0,ap1,ap2,ap3\n0,1,0,0,\xff\n")
+    code, out, err = run_cli("check", "--formula", "!ap0", *FIG_ARGS, "--trace", str(trace))
+    assert code == EXIT_IO
+    assert out == ""
+    assert err == f"i/o error: {trace}: not UTF-8 text\n"
+
+
 def test_run_negation(tmp_path):
     prog = tmp_path / "neg.bit"
     run_cli("compile", "--formula", "!ap0", "--npe", "2", "--nq", "2",

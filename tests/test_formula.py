@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from conftest import formulas
 from mtlmon import formula as F
 from mtlmon.errors import IntervalError, ParseError
+from mtlmon.oracle import oracle_verdicts
+from mtlmon.trace import make_trace
 
 
 def test_parse_box_atom():
@@ -70,6 +72,34 @@ def test_validate_checks_the_nesting_of_built_formulas():
             F.validate(f)
     with pytest.raises(ParseError, match=f"more than {N} operators deep"):
         F.validate(f)  # iterative: no RecursionError at any depth
+
+
+def test_recursive_passes_reject_deep_trees_built_in_code():
+    # oracle_verdicts reaches its recursion through semantic_future.
+    trace = make_trace([[1]] * 3)
+    passes = (F.semantic_future, F.constant_fold, F.pretty, lambda f: oracle_verdicts(f, trace))
+    f = F.AP(0)
+    for depth in range(1, 2001):
+        f = F.Not(f)
+        if depth == N:
+            for run in passes:
+                run(f)
+    for run in passes:
+        with pytest.raises(ParseError, match=f"more than {N} operators deep"):
+            run(f)
+        with pytest.raises(ParseError, match=f"more than {N} operators deep"):
+            run(F.Until(F.AP(0), F.Not(F.Not(f)), 0, 1))
+
+
+@pytest.mark.parametrize("text, position", [
+    ("G[0," + "9" * 5000 + "] ap0", 4),
+    ("ap" + "9" * 5000, 0),
+    ("ap0 U[" + "9" * 4301 + ",1] ap1", 6),
+], ids=["bound", "ap", "until_bound"])
+def test_huge_integer_literals_are_parse_errors(text, position):
+    with pytest.raises(ParseError, match="digits is too long") as err:
+        F.parse(text)
+    assert err.value.position == position
 
 
 def test_precedence():

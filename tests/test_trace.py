@@ -76,6 +76,13 @@ def test_malformed_files_are_rejected(tmp_path, content):
         read_trace(str(path))
 
 
+def test_file_that_is_not_utf8_is_rejected(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"time,ap0\n0,1\xff\n")
+    with pytest.raises(TraceError, match=f"{path}: not UTF-8 text"):
+        read_trace(str(path))
+
+
 def test_ragged_rows_rejected():
     with pytest.raises(TraceError):
         Trace(((True,), (True, False)))
