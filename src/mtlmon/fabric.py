@@ -21,9 +21,10 @@ interconnect phases:
 4. que: the que then adds, applies the true-modify then the false-modify,
    then deletes at its head; the deleted value is latched onto the
    que->PE crossbar for the next cycle, except the verdict que's value,
-   which leaves through the output port immediately.
+   which leaves through the output port immediately. The ques commit only
+   after all have updated, so a cycle that raises leaves every que as it was.
 
-A que is three ints, [occupancy, known, value], with bit k standing for
+A que is three ints, (occupancy, known, value), with bit k standing for
 cell k and cell 0 the newest: add shifts both masks left by one; modify
 sets the unknown live cells of the top mask in ``known`` and ``value``,
 then marks the unknown live cells of the bottom mask known (their value
@@ -76,7 +77,7 @@ class Fabric:
         self.latency = 0
         self.program: Optional[MonitorProgram] = None
         self._buffer = bytearray()
-        self._ques: list[list[int]] = [[0, 0, 0] for _ in range(config.n_q)]
+        self._ques: list[tuple[int, int, int]] = [(0, 0, 0)] * config.n_q
         self._delivered: list = [None] * config.n_q
         self._plan: list = []
 
@@ -177,7 +178,7 @@ class Fabric:
         self.program = program
         self._plan = [(qid, qs[qid].head, qs[qid].is_verdict, ws)
                       for qid, ws in sorted(writers.items())]
-        self._ques = [[0, 0, 0] for _ in range(cfg.n_q)]
+        self._ques = [(0, 0, 0)] * cfg.n_q
         self._delivered = [None] * cfg.n_q
         self.run_cycle = 0
         self.mode = "running"
@@ -195,6 +196,7 @@ class Fabric:
 
         reads = (ap_values, self._delivered)
         new_delivered: list = [None] * cfg.n_q
+        ques = self._ques[:]
         out: Optional[bool] = None
         try:
             for qid, head, is_verdict, writers in self._plan:
@@ -210,8 +212,7 @@ class Fabric:
                     offer[res] |= masks[res]
                 if offer is None:
                     continue
-                que = self._ques[qid]
-                occ, known, value = que
+                occ, known, value = ques[qid]
                 if occ >= cfg.q_sz:
                     raise HardFault(f"Q{qid} overflow at capacity {cfg.q_sz}")
                 bot, top = offer
@@ -239,11 +240,12 @@ class Fabric:
                     else:
                         new_delivered[qid] = bit
                     occ, known, value = head, known ^ cell, value & ~cell
-                que[:] = occ, known, value
+                ques[qid] = occ, known, value
         except HardFault:
             self.mode = "faulted"  # until begin_reprogram
             raise
 
+        self._ques = ques
         self._delivered = new_delivered
         cycle = self.run_cycle
         self.run_cycle += 1

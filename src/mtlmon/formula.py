@@ -147,24 +147,28 @@ def ap_indices(f: Formula) -> set[int]:
 # Semantic lookahead
 # ---------------------------------------------------------------------------
 
-def semantic_future(f: Formula, depth: int = 0) -> int:
+def semantic_future(f: Formula) -> int:
     """Number of future events a verdict at time i depends on.
 
     The verdict for time i is fully determined by events i .. i+N.
     """
+    return _semantic_future(f, 0)
+
+
+def _semantic_future(f: Formula, depth: int) -> int:
     if isinstance(f, (TrueConst, AP)):
         return 0
     d = _deeper(depth)
     if isinstance(f, Not):
-        return semantic_future(f.child, d)
+        return _semantic_future(f.child, d)
     if isinstance(f, (And, Or, Implies)):
-        return max(semantic_future(f.left, d), semantic_future(f.right, d))
+        return max(_semantic_future(f.left, d), _semantic_future(f.right, d))
     if isinstance(f, Next):
-        return 1 + semantic_future(f.child, d)
+        return 1 + _semantic_future(f.child, d)
     if isinstance(f, Until):
-        return f.hi + max(semantic_future(f.left, d), semantic_future(f.right, d))
+        return f.hi + max(_semantic_future(f.left, d), _semantic_future(f.right, d))
     if isinstance(f, (Box, Diamond)):
-        return f.hi + semantic_future(f.child, d)
+        return f.hi + _semantic_future(f.child, d)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -172,7 +176,7 @@ def semantic_future(f: Formula, depth: int = 0) -> int:
 # Constant folding
 # ---------------------------------------------------------------------------
 
-def constant_fold(f: Formula, depth: int = 0) -> Formula | bool:
+def constant_fold(f: Formula) -> Formula | bool:
     """Eliminate every constant node, or reduce the whole formula to a bool.
 
     The fabric has no constant-input source, so allocation requires a
@@ -180,46 +184,50 @@ def constant_fold(f: Formula, depth: int = 0) -> Formula | bool:
     equivalent residual operator (e.g. ``p U[t1,t2] true`` needs p to hold
     up to the start of the window, i.e. ``G[0,t1-1] p``).
     """
+    return _constant_fold(f, 0)
+
+
+def _constant_fold(f: Formula, depth: int) -> Formula | bool:
     if isinstance(f, TrueConst):
         return True
     if isinstance(f, AP):
         return f
     d = _deeper(depth)
     if isinstance(f, Not):
-        c = constant_fold(f.child, d)
+        c = _constant_fold(f.child, d)
         return (not c) if isinstance(c, bool) else Not(c)
     if isinstance(f, And):
-        l, r = constant_fold(f.left, d), constant_fold(f.right, d)
+        l, r = _constant_fold(f.left, d), _constant_fold(f.right, d)
         if isinstance(l, bool):
             return r if l else False
         if isinstance(r, bool):
             return l if r else False
         return And(l, r)
     if isinstance(f, Or):
-        l, r = constant_fold(f.left, d), constant_fold(f.right, d)
+        l, r = _constant_fold(f.left, d), _constant_fold(f.right, d)
         if isinstance(l, bool):
             return True if l else r
         if isinstance(r, bool):
             return True if r else l
         return Or(l, r)
     if isinstance(f, Implies):
-        l, r = constant_fold(f.left, d), constant_fold(f.right, d)
+        l, r = _constant_fold(f.left, d), _constant_fold(f.right, d)
         if isinstance(l, bool):
             return r if l else True
         if isinstance(r, bool):
             return True if r else Not(l)
         return Implies(l, r)
     if isinstance(f, Next):
-        c = constant_fold(f.child, d)
+        c = _constant_fold(f.child, d)
         return c if isinstance(c, bool) else Next(c)
     if isinstance(f, Box):
-        c = constant_fold(f.child, d)
+        c = _constant_fold(f.child, d)
         return c if isinstance(c, bool) else Box(c, f.lo, f.hi)
     if isinstance(f, Diamond):
-        c = constant_fold(f.child, d)
+        c = _constant_fold(f.child, d)
         return c if isinstance(c, bool) else Diamond(c, f.lo, f.hi)
     if isinstance(f, Until):
-        l, r = constant_fold(f.left, d), constant_fold(f.right, d)
+        l, r = _constant_fold(f.left, d), _constant_fold(f.right, d)
         if isinstance(r, bool) and not r:
             return False  # no witness position can ever satisfy r
         if isinstance(l, bool) and isinstance(r, bool):

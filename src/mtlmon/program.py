@@ -140,13 +140,6 @@ class MonitorProgram:
         if sum(1 for q in self.qs if q.is_active and q.is_verdict) > 1:
             raise ValueError("at most one verdict que")
 
-    @property
-    def verdict_qid(self) -> int | None:
-        for qid, q in enumerate(self.qs):
-            if q.is_active and q.is_verdict:
-                return qid
-        return None
-
 
 def slot_from_que(pe: PeConfig, slot: int) -> bool:
     """Whether operand port slot of pe reads a que (else the AP bus)."""

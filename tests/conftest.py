@@ -128,7 +128,7 @@ def faulting_body() -> bytes:
     lowered to 0: it loads, then deletes an unresolved cell on the first
     event with ap0 set."""
     program = compile_formula(F.parse("G[0,4] ap0"), HOSTILE_CFG)
-    vq = program.verdict_qid
+    vq = next(qid for qid, q in enumerate(program.qs) if q.is_active and q.is_verdict)
     qs = list(program.qs)
     qs[vq] = dataclasses.replace(qs[vq], head=0)
     return encode_program(dataclasses.replace(program, qs=tuple(qs)))

@@ -196,6 +196,24 @@ def test_a_bad_event_value_leaves_the_fabric_running():
     assert stream_trace(fabric, pad([[1], [0], [1]], 8)) != []
 
 
+@pytest.mark.parametrize("first, bad", [([1, 0, 0], ["x", 1, 0]), ([0, 1, 0], [1, "x", 0])])
+def test_a_bad_event_value_changes_no_que(first, bad):
+    # Two leaf ques, one per AP. The que that updates first in the failed
+    # cycle must not keep the bad event as a cell, or its windows shift by
+    # one and miss the false at time 0.
+    program = compile_formula(F.parse("G[0,4] ap0 & G[0,4] ap1"), HOSTILE_CFG)
+    events = [first] + [[1, 1, 0]] * 19
+    fresh, _ = run_program(program, make_trace(events))
+    fabric = Fabric(HOSTILE_CFG)
+    fabric.load(encode_program(program))
+    got = [fabric.step(e) for e in events[:3]]
+    with pytest.raises(TypeError):
+        fabric.step(bad)
+    assert fabric.mode == "running"
+    got += [fabric.step(e) for e in events[3:]]
+    assert [v for v in got if v is not None] == fresh
+
+
 def test_a_fault_stops_the_fabric_until_it_is_reprogrammed():
     events = [[1, 1, 0]] * 7
     fresh = Fabric(HOSTILE_CFG)
