@@ -18,8 +18,8 @@ from itertools import accumulate
 from operator import attrgetter
 
 from .errors import AllocationError, BitstreamError
+from .machine import EMPTY_INTERVAL, is_empty
 from .program import (
-    EMPTY_INTERVAL,
     INACTIVE_PE,
     INACTIVE_Q,
     FabricConfig,
@@ -30,7 +30,6 @@ from .program import (
     PeConfig,
     QConfig,
     derive_latency,
-    is_empty,
 )
 
 MAGIC = b"MTLB"

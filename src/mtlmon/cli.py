@@ -61,15 +61,13 @@ def _natural(text: str, limit: int | None = None) -> int:
     return value
 
 
-def _parse_forced(entries) -> dict[int, int]:
-    forced = {}
-    for entry in entries or ():
-        node, _, head = entry.partition("=")
-        try:
-            forced[int(node)] = int(head)
-        except ValueError:
-            raise AllocationError(f"bad --force-head {entry!r}; want <node>=<head>")
-    return forced
+def _forced_head(text: str) -> tuple[int, int]:
+    """argparse type: one --force-head entry, <node>=<head>."""
+    node, _, head = text.partition("=")
+    try:
+        return int(node), int(head)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad entry {text!r}; want <node>=<head>") from None
 
 
 def cmd_compile(args) -> int:
@@ -107,7 +105,7 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     report = check_formula(
         F.parse(args.formula), _config(args), read_trace(args.trace),
-        forced_heads=_parse_forced(args.force_head),
+        forced_heads=dict(args.force_head or ()),
     )
     if report.constant is not None:
         print(f"constant formula: verdict always {int(report.constant)}", file=sys.stderr)
@@ -164,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     p.add_argument("--trace", required=True)
     p.add_argument(
-        "--force-head", action="append", metavar="NODE=HEAD",
+        "--force-head", action="append", type=_forced_head, metavar="NODE=HEAD",
         help="override the head of evaluator NODE (breadth-first index, root=1)",
     )
     p.set_defaults(func=cmd_check)

@@ -15,7 +15,6 @@ from . import formula as F
 from .errors import AllocationError
 from .machine import em_build, min_head, stream_ports
 from .program import (
-    EMPTY_INTERVAL,
     FabricConfig,
     INACTIVE_PE,
     INACTIVE_Q,
@@ -23,7 +22,6 @@ from .program import (
     PeConfig,
     QConfig,
     derive_latency,
-    is_empty,
 )
 
 # ---------------------------------------------------------------------------
@@ -164,10 +162,12 @@ def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
     """Assign PEs/ques in reverse breadth-first order and lower to records.
 
     Each node takes the next free que and one consecutive PE per machine
-    of its ``em_build`` programming, in that order. The root que is the
-    verdict que. Operand routes carry the AP index or the child's que id;
-    a child que's reader fields name the first port of its stream in
-    ``stream_ports``, and the fabric derives the taps.
+    of its ``em_build`` programming, in that order. Each PE record takes its
+    machine's intervals unchanged: they end below the node's head, which is
+    below the que size. The root que is the verdict que. Operand routes
+    carry the AP index or the child's que id; a child que's reader fields
+    name the first port of its stream in ``stream_ports``, and the fabric
+    derives the taps.
     """
     order = bfs_order(root)
     lowering = [(n, em_build(n.kind, n.head, n.interval).ams) for n in reversed(order)]
@@ -218,17 +218,8 @@ def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
                             f"ap{operand} out of range for n_ap={cfg.n_ap}"
                         )
                     route[slot] = operand
-            top = am.top_interval if am.mod_top and not is_empty(am.top_interval) else EMPTY_INTERVAL
-            bot = am.bot_interval if am.mod_bot and not is_empty(am.bot_interval) else EMPTY_INTERVAL
-            for name, (lo, hi) in (("top", top), ("bot", bot)):
-                if (lo, hi) != EMPTY_INTERVAL and hi >= cfg.q_sz:
-                    raise AllocationError(
-                        f"node {node.em_index} {name} interval [{lo},{hi}] "
-                        f"exceeds que size {cfg.q_sz}"
-                    )
-            pes[pe_id] = PeConfig(
-                True, from_que[0], from_que[1], am.opcode, node.q_id, top, bot
-            )
+            pes[pe_id] = PeConfig(True, from_que[0], from_que[1], am.opcode, node.q_id,
+                                  am.top_interval, am.bot_interval)
             routes[pe_id] = (route[0], route[1])
 
     pes_t, qs_t = tuple(pes), tuple(qs)

@@ -49,15 +49,18 @@ from typing import Optional, Sequence
 
 from .bitstream import decode_program
 from .errors import AllocationError, HardFault, ProtocolError, TraceError
-from .machine import OPCODE_ARITY, am_result
+from .machine import OPCODE_ARITY, am_result, is_empty
 from .program import (
     FabricConfig,
     MonitorProgram,
     derive_latency,
-    is_empty,
     resolve_operands,
     slot_from_que,
 )
+
+# The event values step accepts, equal to {0, 1}. Stored as bools, so the
+# bool events of a Trace match by identity, which halves the check's cost.
+_BITS = frozenset((False, True))
 
 
 def _mask(interval: tuple[int, int]) -> int:
@@ -133,7 +136,7 @@ class Fabric:
             if not qs[pe.r_qid].is_active:
                 raise AllocationError(f"PE{pid} writes inactive que {pe.r_qid}")
             for name, iv in (("top", pe.top_interval), ("bot", pe.bot_interval)):
-                if not is_empty(iv) and not (0 <= iv[0] <= iv[1] < cfg.q_sz):
+                if not is_empty(iv) and iv[1] >= cfg.q_sz:
                     raise AllocationError(f"PE{pid} {name} interval {iv} exceeds que size")
             arity = OPCODE_ARITY[pe.opcode]
             ports = []
@@ -141,10 +144,6 @@ class Fabric:
                 from_que = slot_from_que(pe, slot)
                 if from_que:
                     src = sources[(pid, slot)]
-                    if not qs[src].is_active:
-                        raise AllocationError(
-                            f"PE{pid} operand {slot} reads inactive que {src}"
-                        )
                 else:
                     src = program.routes[pid][slot]
                     if src >= cfg.n_ap:
@@ -186,13 +185,16 @@ class Fabric:
     # -- datapath ------------------------------------------------------------
 
     def step(self, ap_values: Sequence[bool]) -> Optional[tuple[int, bool]]:
-        """Run one monitor cycle on one event; returns (time, verdict) once
-        the pipeline is warm, None during warm-up."""
+        """Run one monitor cycle on one event of n_ap values, each 0 or 1;
+        returns (time, verdict) once the pipeline is warm, None during
+        warm-up. An event that raises moves no que."""
         if self.mode != "running":
             raise ProtocolError(f"fabric is in {self.mode} mode")
         cfg = self.config
         if len(ap_values) != cfg.n_ap:
             raise TraceError(f"event width {len(ap_values)} != n_ap {cfg.n_ap}")
+        if not _BITS.issuperset(ap_values):
+            raise TraceError("event values must be 0 or 1")
 
         reads = (ap_values, self._delivered)
         new_delivered: list = [None] * cfg.n_q
@@ -213,8 +215,6 @@ class Fabric:
                 if offer is None:
                     continue
                 occ, known, value = ques[qid]
-                if occ >= cfg.q_sz:
-                    raise HardFault(f"Q{qid} overflow at capacity {cfg.q_sz}")
                 bot, top = offer
                 for mask, polarity in ((top, "top"), (bot, "bot")):
                     carry = mask + (mask & -mask)  # clears the lowest run of cells
@@ -228,7 +228,6 @@ class Fabric:
                 value = value << 1 | new
                 known |= new | bot & live
                 if occ > head:
-                    assert occ == head + 1, "occupancy ran past head+1"
                     cell = 1 << head
                     if not known & cell:
                         raise HardFault(

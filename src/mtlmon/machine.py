@@ -33,6 +33,13 @@ Interval = tuple[int, int]
 
 OPCODE_ARITY = {"wire": 1, "not": 1, "or": 2, "and": 2, "implies": 2}
 
+# lo > hi means "this polarity never writes"; canonical encoding (1, 0).
+EMPTY_INTERVAL = (1, 0)
+
+
+def is_empty(interval: Interval) -> bool:
+    return interval[0] > interval[1]
+
 
 def am_result(opcode: str, op0: bool, op1: Optional[bool] = None) -> bool:
     """The boolean result an abstract machine computes from its operands."""
@@ -129,8 +136,8 @@ class AmProgram:
 
     op0/op1 select which of the EM's operand streams feed the machine
     (e.g. the until realization has a wire machine reading stream 1).
-    Intervals may be empty (lo > hi), in which case the polarity never
-    modifies even when its mod flag is set.
+    The intervals are those of the machine's PE record: a polarity that
+    never writes carries ``EMPTY_INTERVAL``.
     """
 
     opcode: str
@@ -138,8 +145,6 @@ class AmProgram:
     op1: Optional[int]
     top_interval: Interval
     bot_interval: Interval
-    mod_top: bool
-    mod_bot: bool
 
 
 @dataclass(frozen=True)
@@ -149,7 +154,6 @@ class EvaluatorMachine:
     kind: str
     ams: tuple[AmProgram, ...]
     head: int
-    min_head: int
 
     @property
     def arity(self) -> int:  # the number of operand streams
@@ -164,7 +168,9 @@ def em_build(kind: str, head: int, interval: Optional[Interval] = None) -> Evalu
     until with t1 >= 1 takes three machines, with t1 = 0 two.
 
     The one table of operator shapes: compiler and fabric read it through
-    ``stream_ports``.
+    ``stream_ports``. Each interval is ``EMPTY_INTERVAL`` or ends at or
+    below t2 (interval operators), at 1 (next) or at 0, so below the minimum
+    head; ``allocate`` copies the intervals into the PE records as they are.
     """
     temporal = kind in ("box", "diamond", "until")
     if temporal:
@@ -178,24 +184,26 @@ def em_build(kind: str, head: int, interval: Optional[Interval] = None) -> Evalu
 
     if kind in ("not", "and", "or", "implies", "wire"):
         op1 = 1 if OPCODE_ARITY[kind] == 2 else None
-        ams = (AmProgram(kind, 0, op1, (0, 0), (0, 0), True, True),)
+        ams = (AmProgram(kind, 0, op1, (0, 0), (0, 0)),)
     elif kind == "next":
-        ams = (AmProgram("wire", 0, None, (1, 1), (1, 1), True, True),)
+        ams = (AmProgram("wire", 0, None, (1, 1), (1, 1)),)
     elif kind == "box":
-        ams = (AmProgram("wire", 0, None, (t2, t2), (t1, t2), True, True),)
+        ams = (AmProgram("wire", 0, None, (t2, t2), (t1, t2)),)
     elif kind == "diamond":
-        ams = (AmProgram("wire", 0, None, (t1, t2), (t2, t2), True, True),)
+        ams = (AmProgram("wire", 0, None, (t1, t2), (t2, t2)),)
     elif kind == "until":
+        # The or machine settles false the cells t1..t2-1, none if t1 = t2.
+        below_t2 = (t1, t2 - 1) if t1 < t2 else EMPTY_INTERVAL
         if t1 >= 1:
             ams = (
-                AmProgram("wire", 0, None, (0, 0), (0, t1 - 1), False, True),
-                AmProgram("wire", 1, None, (t1, t2), (t2, t2), True, True),
-                AmProgram("or", 0, 1, (0, 0), (t1, t2 - 1), False, True),
+                AmProgram("wire", 0, None, EMPTY_INTERVAL, (0, t1 - 1)),
+                AmProgram("wire", 1, None, (t1, t2), (t2, t2)),
+                AmProgram("or", 0, 1, EMPTY_INTERVAL, below_t2),
             )
         else:
             ams = (
-                AmProgram("or", 0, 1, (0, 0), (0, t2 - 1), False, True),
-                AmProgram("wire", 1, None, (0, t2), (t2, t2), True, True),
+                AmProgram("or", 0, 1, EMPTY_INTERVAL, below_t2),
+                AmProgram("wire", 1, None, (0, t2), (t2, t2)),
             )
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
@@ -203,7 +211,7 @@ def em_build(kind: str, head: int, interval: Optional[Interval] = None) -> Evalu
     lo_head = min_head(kind, interval)
     if head < lo_head:
         raise ValueError(f"head {head} below the minimum {lo_head} for {kind}")
-    return EvaluatorMachine(kind, ams, head, lo_head)
+    return EvaluatorMachine(kind, ams, head)
 
 
 def stream_ports(ams: Sequence[AmProgram]) -> list[list[tuple[int, int]]]:
@@ -254,9 +262,8 @@ def em_step_trace(
             am.opcode, operands[am.op0], None if am.op1 is None else operands[am.op1]
         )
         results.append(res)
-        mod = am.mod_top if res else am.mod_bot
         interval = am.top_interval if res else am.bot_interval
-        if mod:
+        if not is_empty(interval):
             # Cells this machine modifies, judged against the post-add
             # snapshot so an earlier modify cannot mask an overlap.
             lo, hi = interval

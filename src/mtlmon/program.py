@@ -1,8 +1,9 @@
 """Hardware-level monitor configuration records.
 
 These mirror the fabric's programming registers field for field. A PE record
-has no mod-enable flags: a polarity that must never modify carries the empty
-interval sentinel (1, 0) instead, which the que skips.
+has no mod-enable flags: a polarity that must never modify carries
+``machine.EMPTY_INTERVAL`` (1, 0) instead, which the que skips, as the
+``em_build`` machine it lowers does.
 
 Routing: the per-PE route fields are AP indices, meaningful only for
 operand slots whose source flag selects the AP bus (0 otherwise). Que-to-PE
@@ -24,13 +25,6 @@ OPCODE_BITS = {"wire": 0, "not": 1, "or": 2, "and": 3, "implies": 4}
 OPCODE_NAMES = {v: k for k, v in OPCODE_BITS.items()}
 
 Fields = tuple[tuple[str, int], ...]
-
-# lo > hi means "this polarity never modifies"; canonical encoding (1, 0).
-EMPTY_INTERVAL = (1, 0)
-
-
-def is_empty(interval: tuple[int, int]) -> bool:
-    return interval[0] > interval[1]
 
 
 def ceil_log2(n: int) -> int:

@@ -107,13 +107,14 @@ def check_formula(
     trace: Trace,
     forced_heads: dict[int, int] | None = None,
 ) -> RunReport:
-    """Compile, run, and diff against the brute-force evaluation."""
+    """Compile, run, and diff against the brute-force evaluation. Compiling
+    comes first, so an AP the fabric lacks is an AllocationError."""
     _require_width(trace, config)
     parsed = F.parse(f) if isinstance(f, str) else f
     F.validate(parsed)  # before the recursive passes below
     text = F.pretty(parsed)
-    reference = oracle_verdicts(parsed, trace)
     compiled = compile_formula(parsed, config, forced_heads)
+    reference = oracle_verdicts(parsed, trace)
     if isinstance(compiled, bool):
         times = range(len(reference))
         verdicts = [(t, compiled) for t in times]
@@ -139,13 +140,15 @@ _OPERATORS = (
     + ("next",) * 15 + ("box",) * 15 + ("diamond",) * 15 + ("until",) * 15
 )
 
+_AP_POOL = 4  # random formulas draw their atoms from ap0 .. ap3
 
-def random_formula(rng: random.Random, max_depth: int, max_t2: int, ap_pool: int = 4) -> F.Formula:
+
+def random_formula(rng: random.Random, max_depth: int, max_t2: int) -> F.Formula:
     """One random formula with operator nesting depth exactly bounded by
     max_depth and a root that is always an operator."""
 
     def leaf() -> F.Formula:
-        return F.AP(rng.randrange(ap_pool))
+        return F.AP(rng.randrange(_AP_POOL))
 
     def interval() -> tuple[int, int]:
         hi = rng.randint(0, max_t2)
@@ -189,7 +192,7 @@ def random_formula(rng: random.Random, max_depth: int, max_t2: int, ap_pool: int
 
 
 def random_fitting_formula(
-    rng: random.Random, max_depth: int, max_t2: int, config: FabricConfig, ap_pool: int = 4
+    rng: random.Random, max_depth: int, max_t2: int, config: FabricConfig
 ) -> tuple[F.Formula, MonitorProgram]:
     """Draw formulas until one fits the fabric (PE/Q/que-size limits).
 
@@ -197,7 +200,7 @@ def random_fitting_formula(
     fixed sequence of accepted formulas.
     """
     for _ in range(1000):
-        f = random_formula(rng, max_depth, max_t2, ap_pool)
+        f = random_formula(rng, max_depth, max_t2)
         try:
             compiled = compile_formula(f, config)
         except AllocationError:
@@ -251,7 +254,6 @@ def run_fuzz(
     max_t2: int,
     config: FabricConfig = DEFAULT_CONFIG,
     trace_len: int = 64,
-    ap_pool: int = 4,
 ) -> FuzzSummary:
     """Random formulas and traces against the brute-force evaluation.
 
@@ -265,7 +267,7 @@ def run_fuzz(
         problems: list[str] = []
         fabric = Fabric(config)
         for reprogrammed in (False, True):
-            f, program = random_fitting_formula(rng, max_depth, max_t2, config, ap_pool)
+            f, program = random_fitting_formula(rng, max_depth, max_t2, config)
             trace = random_trace(rng, trace_len, config.n_ap)
             name = f"iter {it}: {F.pretty(f)}"
             if reprogrammed:

@@ -252,6 +252,28 @@ def test_check_forced_head_fails(tmp_path):
     assert out.splitlines()[0].startswith("mismatch at time 0:")
 
 
+@pytest.mark.parametrize("entry", ["abc", "2", "2=x", "=3"])
+def test_check_rejects_a_malformed_force_head(tmp_path, entry):
+    trace = write_trace_file(tmp_path / "t.csv", 4, [[0, 0, 0, 0]])
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        main(["check", "--formula", "!ap0", *FIG_ARGS, "--trace", trace,
+              "--force-head", entry])
+    assert exit_.value.code == EXIT_PARSE
+    assert "error: argument --force-head: " in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["compile", "check"])
+def test_an_ap_the_fabric_lacks_is_an_allocation_error(tmp_path, command):
+    trace = write_trace_file(tmp_path / "t.csv", 4, [[0, 0, 0, 0]])
+    where = ["-o", str(tmp_path / "p.bit")] if command == "compile" else ["--trace", trace]
+    code, out, err = run_cli(command, "--formula", "ap5 & ap0", *FIG_ARGS, *where)
+    assert code == EXIT_ALLOC
+    assert out == ""
+    assert err == "allocation error: ap5 out of range for n_ap=4\n"
+
+
 @pytest.mark.parametrize("text,code", [
     ("!" * F.MAX_NESTING + "ap0", EXIT_OK),
     ("!" * (F.MAX_NESTING + 1) + "ap0", EXIT_PARSE),

@@ -190,13 +190,16 @@ def test_ques_faulting_in_one_cycle_report_the_lowest_qid():
 
 def test_a_bad_event_value_leaves_the_fabric_running():
     fabric, _ = loaded_fabric("!ap0", SMALL)
-    with pytest.raises(TypeError):
+    with pytest.raises(TraceError, match="must be 0 or 1"):
         fabric.step(["x"] * SMALL.n_ap)
     assert fabric.mode == "running"
     assert stream_trace(fabric, pad([[1], [0], [1]], 8)) != []
 
 
-@pytest.mark.parametrize("first, bad", [([1, 0, 0], ["x", 1, 0]), ([0, 1, 0], [1, "x", 0])])
+@pytest.mark.parametrize("first, bad", [
+    ([1, 0, 0], ["x", 1, 0]), ([0, 1, 0], [1, "x", 0]),
+    ([1, 0, 0], [-1, 0, 0]), ([0, 1, 0], [2, 0, 0]),
+])
 def test_a_bad_event_value_changes_no_que(first, bad):
     # Two leaf ques, one per AP. The que that updates first in the failed
     # cycle must not keep the bad event as a cell, or its windows shift by
@@ -207,7 +210,7 @@ def test_a_bad_event_value_changes_no_que(first, bad):
     fabric = Fabric(HOSTILE_CFG)
     fabric.load(encode_program(program))
     got = [fabric.step(e) for e in events[:3]]
-    with pytest.raises(TypeError):
+    with pytest.raises(TraceError, match="must be 0 or 1"):
         fabric.step(bad)
     assert fabric.mode == "running"
     got += [fabric.step(e) for e in events[3:]]

@@ -5,6 +5,7 @@ import pytest
 from mtlmon import formula as F
 from mtlmon.errors import HardFault, QueOverflowError
 from mtlmon.machine import (
+    EMPTY_INTERVAL,
     MAYBE,
     AmProgram,
     EvaluatorMachine,
@@ -15,6 +16,7 @@ from mtlmon.machine import (
     em_step,
     em_step_trace,
     empty_que,
+    is_empty,
     min_head,
     que_add,
     que_del,
@@ -114,24 +116,23 @@ def test_min_head_per_operator():
 
 def test_build_box():
     em = em_build("box", 5, (1, 4))
-    assert em.ams == (AmProgram("wire", 0, None, (4, 4), (1, 4), True, True),)
-    assert em.min_head == 5
+    assert em.ams == (AmProgram("wire", 0, None, (4, 4), (1, 4)),)
 
 
 def test_build_until_with_offset_window():
     em = em_build("until", 3, (1, 2))
     assert em.ams == (
-        AmProgram("wire", 0, None, (0, 0), (0, 0), False, True),
-        AmProgram("wire", 1, None, (1, 2), (2, 2), True, True),
-        AmProgram("or", 0, 1, (0, 0), (1, 1), False, True),
+        AmProgram("wire", 0, None, EMPTY_INTERVAL, (0, 0)),
+        AmProgram("wire", 1, None, (1, 2), (2, 2)),
+        AmProgram("or", 0, 1, EMPTY_INTERVAL, (1, 1)),
     )
 
 
 def test_build_until_from_zero():
     em = em_build("until", 4, (0, 3))
     assert em.ams == (
-        AmProgram("or", 0, 1, (0, 0), (0, 2), False, True),
-        AmProgram("wire", 1, None, (0, 3), (3, 3), True, True),
+        AmProgram("or", 0, 1, EMPTY_INTERVAL, (0, 2)),
+        AmProgram("wire", 1, None, (0, 3), (3, 3)),
     )
 
 
@@ -153,6 +154,26 @@ def test_stream_ports_name_a_wire_port_first(kind, interval, ports):
     em = em_build(kind, min_head(kind, interval), interval)
     assert stream_ports(em.ams) == ports
     assert em.arity == len(ports)
+
+
+@pytest.mark.parametrize(
+    "kind", ["not", "and", "or", "implies", "wire", "next", "box", "diamond", "until"]
+)
+def test_machine_intervals_are_record_intervals_below_the_minimum_head(kind):
+    # The invariant that lets allocate copy the intervals into PE records
+    # with neither a re-encoding nor a que-size check.
+    if kind in ("box", "diamond", "until"):
+        grid = [(t1, t2) for t2 in range(7) for t1 in range(t2 + 1)]
+    else:
+        grid = [None]
+    for interval in grid:
+        lo_head = min_head(kind, interval)
+        for am in em_build(kind, lo_head, interval).ams:
+            for iv in (am.top_interval, am.bot_interval):
+                if is_empty(iv):
+                    assert iv == EMPTY_INTERVAL, (kind, interval, am)
+                else:
+                    assert 0 <= iv[0] <= iv[1] < lo_head, (kind, interval, am)
 
 
 def test_build_rejects_small_head_and_bad_interval():
@@ -300,6 +321,15 @@ def test_modification_conformance(kind, interval, operands, expected):
     assert _fired_for(kind, interval, head, *operands) == expected
 
 
+@pytest.mark.parametrize("interval,expected", [
+    ((2, 2), {(B, (2, 2)), (B, (0, 1))}),
+    ((0, 0), {(B, (0, 0))}),
+])
+def test_until_with_t1_equal_t2_lists_no_empty_write(interval, expected):
+    # The or machine's bottom interval t1..t2-1 is empty here: it never writes.
+    assert _fired_for("until", interval, interval[1] + 1, B, B) == expected
+
+
 # -- correctness theorems ---------------------------------------------------------
 
 SINGLE_OPS = [
@@ -368,11 +398,10 @@ def test_overlapping_writers_trip_the_disjointness_fault():
     rogue = EvaluatorMachine(
         "rogue",
         (
-            AmProgram("wire", 0, None, (0, 0), (0, 0), True, True),
-            AmProgram("wire", 0, None, (0, 0), (0, 0), True, True),
+            AmProgram("wire", 0, None, (0, 0), (0, 0)),
+            AmProgram("wire", 0, None, (0, 0), (0, 0)),
         ),
         head=1,
-        min_head=1,
     )
     with pytest.raises(HardFault):
         em_step(rogue, empty_que(4), T)
