@@ -165,7 +165,8 @@ def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
     of its ``em_build`` programming, in that order. Each PE record takes its
     machine's intervals unchanged: they end below the node's head, which is
     below the que size. The root que is the verdict que. Operand routes
-    carry the AP index or the child's que id; a child que's reader fields
+    carry the AP index, which ``compile_formula`` has checked against the
+    fabric, or the child's que id; a child que's reader fields
     name the first port of its stream in ``stream_ports``, and the fabric
     derives the taps.
     """
@@ -213,10 +214,6 @@ def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
                 if isinstance(operand, EmNode):
                     from_que[slot] = True
                 else:
-                    if operand >= cfg.n_ap:
-                        raise AllocationError(
-                            f"ap{operand} out of range for n_ap={cfg.n_ap}"
-                        )
                     route[slot] = operand
             pes[pe_id] = PeConfig(True, from_que[0], from_que[1], am.opcode, node.q_id,
                                   am.top_interval, am.bot_interval)
@@ -232,9 +229,12 @@ def compile_formula(
     """Full pipeline from a parsed formula to a monitor program.
 
     Returns a bool when the formula folds to a constant: there is nothing
-    to program, the verdict stream is that constant.
+    to program, the verdict stream is that constant. Every AP the formula
+    names must be on the fabric, even one that folding drops.
     """
-    F.validate(f)
+    top_ap = F.validate(f)
+    if top_ap >= cfg.n_ap:
+        raise AllocationError(f"ap{top_ap} out of range for n_ap={cfg.n_ap}")
     folded = F.constant_fold(f)
     if isinstance(folded, bool):
         return folded

@@ -14,23 +14,13 @@ interconnect phases:
    intervals offer nothing. A que none of whose writers computed
    (pipeline warm-up) idles this cycle.
 3. PE -> que: the que ORs its writers' offers per polarity into a single
-   top mask and a single bottom mask; a mask whose set bits are not one
-   contiguous run is a hard fault. The check runs only after all of the
-   que's writers have offered, because until's three machines close the
-   span together.
-4. que: the que then adds, applies the true-modify then the false-modify,
-   then deletes at its head; the deleted value is latched onto the
-   que->PE crossbar for the next cycle, except the verdict que's value,
-   which leaves through the output port immediately. The ques commit only
-   after all have updated, so a cycle that raises leaves every que as it was.
-
-A que is three ints, (occupancy, known, value), with bit k standing for
-cell k and cell 0 the newest: add shifts both masks left by one; modify
-sets the unknown live cells of the top mask in ``known`` and ``value``,
-then marks the unknown live cells of the bottom mask known (their value
-bit stays 0); delete reads bit ``head`` of ``value``, faulting if it is
-not set in ``known``, and clears it. An interval (lo, hi) is the mask of
-bits lo..hi, and an empty interval is 0.
+   top mask and a single bottom mask.
+4. que: the que takes one ``machine.que_step`` on those masks, the
+   que-update rule the golden model runs too (gap test, add, modify,
+   delete at its head). The deleted value is latched onto the que->PE
+   crossbar for the next cycle, except the verdict que's value, which
+   leaves through the output port immediately. The ques commit only after
+   all have updated, so a cycle that raises leaves every que as it was.
 
 The verdict leaving at running cycle c (0-based since the program latched)
 is the formula verdict for time c - latency + 1; warm-up cycles produce no
@@ -49,7 +39,7 @@ from typing import Optional, Sequence
 
 from .bitstream import decode_program
 from .errors import AllocationError, HardFault, ProtocolError, TraceError
-from .machine import OPCODE_ARITY, am_result, is_empty
+from .machine import OPCODE_ARITY, am_result, interval_mask, is_empty, que_step
 from .program import (
     FabricConfig,
     MonitorProgram,
@@ -61,11 +51,6 @@ from .program import (
 # The event values step accepts, equal to {0, 1}. Stored as bools, so the
 # bool events of a Trace match by identity, which halves the check's cost.
 _BITS = frozenset((False, True))
-
-
-def _mask(interval: tuple[int, int]) -> int:
-    lo, hi = interval
-    return 0 if is_empty(interval) else (1 << (hi + 1)) - (1 << lo)
 
 
 class Fabric:
@@ -153,7 +138,7 @@ class Fabric:
                 ports.append((from_que, src))
             table = tuple(am_result(pe.opcode, *(bool(i & 1), bool(i & 2))[:arity])
                           for i in range(4))
-            masks = (_mask(pe.bot_interval), _mask(pe.top_interval))
+            masks = (interval_mask(pe.bot_interval), interval_mask(pe.top_interval))
             writers.setdefault(pe.r_qid, []).append((table, ports[0], ports[-1], masks))
         for qid, q in enumerate(qs):
             if not q.is_active:
@@ -214,35 +199,15 @@ class Fabric:
                     offer[res] |= masks[res]
                 if offer is None:
                     continue
-                occ, known, value = ques[qid]
                 bot, top = offer
-                for mask, polarity in ((top, "top"), (bot, "bot")):
-                    carry = mask + (mask & -mask)  # clears the lowest run of cells
-                    if mask & carry:
-                        gap = (carry & -carry).bit_length() - 1
-                        raise HardFault(f"Q{qid} {polarity} offers leave cell {gap} uncovered")
-                occ += 1  # add: the new cell 0 is unknown
-                live = (1 << occ) - 1
-                known <<= 1
-                new = top & live & ~known
-                value = value << 1 | new
-                known |= new | bot & live
-                if occ > head:
-                    cell = 1 << head
-                    if not known & cell:
-                        raise HardFault(
-                            f"Q{qid} deleted unresolved cell at head {head}: misprogrammed head"
-                        )
-                    bit = bool(value & cell)
-                    if is_verdict:
-                        out = bit
-                    else:
-                        new_delivered[qid] = bit
-                    occ, known, value = head, known ^ cell, value & ~cell
-                ques[qid] = occ, known, value
-        except HardFault:
+                ques[qid], bit = que_step(ques[qid], bot, top, head)
+                if is_verdict:
+                    out = bit
+                else:
+                    new_delivered[qid] = bit
+        except HardFault as fault:
             self.mode = "faulted"  # until begin_reprogram
-            raise
+            raise HardFault(f"Q{qid} {fault}") from None
 
         self._ques = ques
         self._delivered = new_delivered

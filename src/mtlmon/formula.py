@@ -111,19 +111,23 @@ def _deeper(depth: int) -> int:
     return depth + 1
 
 
-def validate(f: Formula) -> None:
+def validate(f: Formula) -> int:
     """Reject out-of-order intervals, negative AP indices and nesting past
     MAX_NESTING anywhere in f, in pre-order; iterative, so any depth is
-    safe to check."""
+    safe to check. Returns the largest AP index in f, -1 if there is none."""
+    top = -1
     stack = [(f, 0)]
     while stack:
         node, depth = stack.pop()
         if isinstance(node, TEMPORAL):
             _check_interval(node.lo, node.hi)
-        if isinstance(node, AP) and node.index < 0:
-            raise ParseError(f"negative AP index {node.index}")
+        if isinstance(node, AP):
+            if node.index < 0:
+                raise ParseError(f"negative AP index {node.index}")
+            top = max(top, node.index)
         for child in reversed(children(node)):
             stack.append((child, _deeper(depth)))
+    return top
 
 
 def children(f: Formula) -> tuple[Formula, ...]:

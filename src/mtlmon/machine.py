@@ -7,9 +7,10 @@ interval. An evaluator machine (EM) is 1-3 such machines sharing one que;
 it realizes exactly one MTL operator, and the values deleted at the que head
 form its verdict stream.
 
-Shared-que stepping: one add, then each machine's conditional modify in
-listed order, then one del at the head. The firing modifies of one step
-never touch a common cell (asserted), so the listed order is cosmetic.
+Shared-que stepping: the machines' offers are ORed per polarity and the
+que takes one ``que_step``, the que-update rule the fabric runs too. The
+firing machines of one step never settle a common cell (checked), so the
+order of the machines does not matter.
 """
 
 from __future__ import annotations
@@ -70,60 +71,73 @@ def min_head(kind: str, interval: Optional[Interval] = None) -> int:
 # Que
 # ---------------------------------------------------------------------------
 
+def interval_mask(interval: Interval) -> int:
+    """The que cells lo..hi of an interval as a bit mask; empty is 0."""
+    lo, hi = interval
+    return 0 if is_empty(interval) else (1 << (hi + 1)) - (1 << lo)
+
+
+def que_step(
+    que: tuple[int, int, int], bot: int, top: int, head: int
+) -> tuple[tuple[int, int, int], Optional[bool]]:
+    """One cycle of the que-update rules, shared by the golden model and the
+    fabric; returns the new que and the value deleted at ``head`` (None in
+    warm-up).
+
+    A que is three ints, (occupancy, known, value), with bit k standing for
+    cell k and cell 0 the newest; a known cell holds its value bit, an
+    unknown one is Maybe. ``bot`` and ``top`` are the ORed false and true
+    offers of the que's firing writers as masks. Each must be one contiguous
+    run of cells, because until's machines close a span together; a gap is
+    a hard fault. Then: add shifts every cell up one and makes cell 0 an
+    unknown cell; modify settles the unknown live cells of ``top`` true,
+    then those of ``bot`` false, so settled cells and cells beyond the
+    occupancy are untouched; delete removes cell ``head`` once it exists,
+    and deleting an unknown cell is a hard fault (a misprogrammed head).
+    Every reachable que enters with at most ``head`` cells, so the deleted
+    cell is the oldest and the que keeps ``head`` cells.
+    """
+    if top & (top + (top & -top)) or bot & (bot + (bot & -bot)):
+        for mask, polarity in ((top, "top"), (bot, "bot")):
+            carry = mask + (mask & -mask)  # clears the lowest run of cells
+            if mask & carry:
+                gap = (carry & -carry).bit_length() - 1
+                raise HardFault(f"{polarity} offers leave cell {gap} uncovered")
+    occ, known, value = que
+    occ += 1
+    live = (1 << occ) - 1
+    known <<= 1
+    new = top & live & ~known
+    value = value << 1 | new
+    known |= new | bot & live
+    if occ <= head:
+        return (occ, known, value), None
+    cell = 1 << head
+    if not known & cell:
+        raise HardFault(f"deleted unresolved cell at head {head}: misprogrammed head")
+    return (head, known ^ cell, value & ~cell), bool(value & cell)
+
+
 @dataclass(frozen=True)
 class QueState:
-    """cells[0] is the tail; occupancy == len(cells) <= capacity."""
+    """A golden-model que: the ``que_step`` triple plus its capacity."""
 
-    cells: tuple
+    occupancy: int
+    known: int
+    value: int
     capacity: int
 
     @property
-    def occupancy(self) -> int:
-        return len(self.cells)
+    def cells(self) -> tuple:
+        """The cells as True/False/MAYBE, cell 0 (the tail) first."""
+        return tuple(
+            bool(self.value >> k & 1) if self.known >> k & 1 else MAYBE
+            for k in range(self.occupancy)
+        )
 
 
 def empty_que(capacity: int) -> QueState:
-    return QueState((), capacity)
-
-
-def que_add(q: QueState) -> QueState:
-    """Shift every cell up one index and insert Maybe at cell 0."""
-    if q.occupancy >= q.capacity:
-        raise QueOverflowError(
-            f"que of capacity {q.capacity} is full; the formula needs a deeper que"
-        )
-    return QueState((MAYBE,) + q.cells, q.capacity)
-
-
-def que_del(q: QueState, head: int) -> tuple[QueState, Optional[bool]]:
-    """Remove the cell at index head, returning its value as a verdict.
-
-    A del at an empty position is a no-op (warm-up). Deleting Maybe is a
-    hard fault: cells at or beyond the operator latency hold settled
-    verdicts, so Maybe there means a misprogrammed head.
-    """
-    if q.occupancy <= head:
-        return q, None
-    value = q.cells[head]
-    if value is MAYBE:
-        raise HardFault(f"deleted unresolved cell at head {head}")
-    return QueState(q.cells[:head] + q.cells[head + 1:], q.capacity), value
-
-
-def que_modify(q: QueState, interval: Interval, value: bool) -> QueState:
-    """Overwrite Maybe cells with indexes in [lo, hi] by value.
-
-    Settled cells are untouched; positions beyond the occupancy (warm-up)
-    are skipped; an empty interval (lo > hi) changes nothing.
-    """
-    lo, hi = interval
-    if lo > hi or lo >= q.occupancy:
-        return q
-    cells = list(q.cells)
-    for k in range(lo, min(hi, q.occupancy - 1) + 1):
-        if cells[k] is MAYBE:
-            cells[k] = value
-    return QueState(tuple(cells), q.capacity)
+    return QueState(0, 0, 0, capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +264,19 @@ def em_step_trace(
         raise ValueError(f"{em.kind} needs two operand values")
     if em.arity == 1 and op1 is not None:
         raise ValueError(f"{em.kind} takes one operand value")
+    if q.occupancy >= q.capacity:
+        raise QueOverflowError(
+            f"que of capacity {q.capacity} is full; the formula needs a deeper que"
+        )
+    assert q.occupancy <= em.head, "occupancy exceeded head"
     operands = (op0, op1)
-
-    q = que_add(q)
-    after_add = q.cells
+    # The unknown live cells once the add has run: the cells a modify can
+    # settle, judged before any modify so an earlier one cannot mask an overlap.
+    unknown = (1 << q.occupancy + 1) - 1 & ~(q.known << 1)
     results = []
     fired = []
-    touched: list[set[int]] = []
+    offer = [0, 0]  # [bottom mask, top mask]
+    touched = 0
     for am in em.ams:
         res = am_result(
             am.opcode, operands[am.op0], None if am.op1 is None else operands[am.op1]
@@ -264,30 +284,22 @@ def em_step_trace(
         results.append(res)
         interval = am.top_interval if res else am.bot_interval
         if not is_empty(interval):
-            # Cells this machine modifies, judged against the post-add
-            # snapshot so an earlier modify cannot mask an overlap.
-            lo, hi = interval
-            touched.append(
-                {
-                    k
-                    for k in range(lo, min(hi + 1, len(after_add)))
-                    if after_add[k] is MAYBE
-                }
-            )
-            q = que_modify(q, interval, res)
+            mask = interval_mask(interval)
+            # The firing machines of one step must settle disjoint cells;
+            # overlap would make the shared-que result order-dependent.
+            common = touched & mask
+            if common:
+                cells = {k for k in range(common.bit_length()) if common >> k & 1}
+                raise HardFault(f"machines of {em.kind} modified common cells {cells}")
+            touched |= mask & unknown
+            offer[res] |= mask
             fired.append((res, interval))
-    # The firing machines of one step must write disjoint cells; overlap
-    # would make the shared-que result order-dependent.
-    for a in range(len(touched)):
-        for b in range(a + 1, len(touched)):
-            if touched[a] & touched[b]:
-                raise HardFault(
-                    f"machines of {em.kind} modified common cells {touched[a] & touched[b]}"
-                )
-    after_modify = q.cells
-    q, verdict = que_del(q, em.head)
-    assert q.occupancy <= em.head + 1, "occupancy exceeded head+1"
-    return q, StepTrace(tuple(results), after_add, tuple(fired), after_modify, q.cells, verdict)
+    after_add = (MAYBE,) + q.cells
+    que, verdict = que_step((q.occupancy, q.known, q.value), *offer, em.head)
+    q = QueState(*que, q.capacity)
+    after_del = q.cells
+    after_modify = after_del if verdict is None else after_del + (verdict,)
+    return q, StepTrace(tuple(results), after_add, tuple(fired), after_modify, after_del, verdict)
 
 
 def em_step(

@@ -88,28 +88,33 @@ def oracle_verdicts(f: F.Formula, trace: Trace) -> list[bool]:
 def satisfies(f: F.Formula, trace: Trace, i: int) -> bool:
     """Textbook recursive satisfaction check; used to cross-check the
     bitmask evaluation in tests. Only meaningful on the defined range."""
+    return _satisfies(f, trace, i, 0)
+
+
+def _satisfies(f: F.Formula, trace: Trace, i: int, depth: int) -> bool:
     if isinstance(f, F.TrueConst):
         return True
     if isinstance(f, F.AP):
         return trace.events[i][f.index]
+    d = F._deeper(depth)
     if isinstance(f, F.Not):
-        return not satisfies(f.child, trace, i)
+        return not _satisfies(f.child, trace, i, d)
     if isinstance(f, F.And):
-        return satisfies(f.left, trace, i) and satisfies(f.right, trace, i)
+        return _satisfies(f.left, trace, i, d) and _satisfies(f.right, trace, i, d)
     if isinstance(f, F.Or):
-        return satisfies(f.left, trace, i) or satisfies(f.right, trace, i)
+        return _satisfies(f.left, trace, i, d) or _satisfies(f.right, trace, i, d)
     if isinstance(f, F.Implies):
-        return not satisfies(f.left, trace, i) or satisfies(f.right, trace, i)
+        return not _satisfies(f.left, trace, i, d) or _satisfies(f.right, trace, i, d)
     if isinstance(f, F.Next):
-        return satisfies(f.child, trace, i + 1)
+        return _satisfies(f.child, trace, i + 1, d)
     if isinstance(f, F.Box):
-        return all(satisfies(f.child, trace, j) for j in range(i + f.lo, i + f.hi + 1))
+        return all(_satisfies(f.child, trace, j, d) for j in range(i + f.lo, i + f.hi + 1))
     if isinstance(f, F.Diamond):
-        return any(satisfies(f.child, trace, j) for j in range(i + f.lo, i + f.hi + 1))
+        return any(_satisfies(f.child, trace, j, d) for j in range(i + f.lo, i + f.hi + 1))
     if isinstance(f, F.Until):
         return any(
-            satisfies(f.right, trace, j)
-            and all(satisfies(f.left, trace, k) for k in range(i, j))
+            _satisfies(f.right, trace, j, d)
+            and all(_satisfies(f.left, trace, k, d) for k in range(i, j))
             for j in range(i + f.lo, i + f.hi + 1)
         )
     raise TypeError(f"not a formula: {f!r}")

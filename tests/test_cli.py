@@ -266,12 +266,15 @@ def test_check_rejects_a_malformed_force_head(tmp_path, entry):
 
 @pytest.mark.parametrize("command", ["compile", "check"])
 def test_an_ap_the_fabric_lacks_is_an_allocation_error(tmp_path, command):
+    # Constant folding drops ap5 from the last two; it must still be on the fabric.
     trace = write_trace_file(tmp_path / "t.csv", 4, [[0, 0, 0, 0]])
     where = ["-o", str(tmp_path / "p.bit")] if command == "compile" else ["--trace", trace]
-    code, out, err = run_cli(command, "--formula", "ap5 & ap0", *FIG_ARGS, *where)
-    assert code == EXIT_ALLOC
-    assert out == ""
-    assert err == "allocation error: ap5 out of range for n_ap=4\n"
+    for formula in ("ap5 & ap0", "true | ap5", "(true | ap5) & ap0"):
+        code, out, err = run_cli(command, "--formula", formula, *FIG_ARGS, *where)
+        assert code == EXIT_ALLOC, formula
+        assert out == ""
+        assert err == "allocation error: ap5 out of range for n_ap=4\n"
+        assert not (tmp_path / "p.bit").exists()
 
 
 @pytest.mark.parametrize("text,code", [

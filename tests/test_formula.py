@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from conftest import formulas
 from mtlmon import formula as F
 from mtlmon.errors import IntervalError, ParseError
-from mtlmon.oracle import oracle_verdicts
+from mtlmon.oracle import oracle_verdicts, satisfies
 from mtlmon.trace import make_trace
 
 
@@ -77,7 +77,8 @@ def test_validate_checks_the_nesting_of_built_formulas():
 def test_recursive_passes_reject_deep_trees_built_in_code():
     # oracle_verdicts reaches its recursion through semantic_future.
     trace = make_trace([[1]] * 3)
-    passes = (F.semantic_future, F.constant_fold, F.pretty, lambda f: oracle_verdicts(f, trace))
+    passes = (F.semantic_future, F.constant_fold, F.pretty, lambda f: oracle_verdicts(f, trace),
+              lambda f: satisfies(f, trace, 0))
     f = F.AP(0)
     for depth in range(1, 2001):
         f = F.Not(f)

@@ -3,7 +3,10 @@ import random
 import pytest
 
 from mtlmon import formula as F
+from mtlmon.bitstream import encode_program
+from mtlmon.compiler import compile_formula
 from mtlmon.errors import HardFault, QueOverflowError
+from mtlmon.fabric import Fabric
 from mtlmon.machine import (
     EMPTY_INTERVAL,
     MAYBE,
@@ -16,71 +19,81 @@ from mtlmon.machine import (
     em_step,
     em_step_trace,
     empty_que,
+    interval_mask,
     is_empty,
     min_head,
-    que_add,
-    que_del,
-    que_modify,
+    que_step,
     stream_ports,
 )
 from mtlmon.oracle import oracle_verdicts
+from mtlmon.program import FabricConfig
 from mtlmon.trace import make_trace
 
 T, B, M = True, False, MAYBE
 
 
 def q(*cells, capacity=8):
-    return QueState(tuple(cells), capacity)
+    known = sum(1 << k for k, cell in enumerate(cells) if cell is not M)
+    value = sum(1 << k for k, cell in enumerate(cells) if cell is T)
+    return QueState(len(cells), known, value, capacity)
+
+
+def step(cells, bot=EMPTY_INTERVAL, top=EMPTY_INTERVAL, head=7):
+    """One que_step from the given cells; the cells after it and the deleted value."""
+    state = q(*cells)
+    que, deleted = que_step(
+        (state.occupancy, state.known, state.value), interval_mask(bot), interval_mask(top), head
+    )
+    return QueState(*que, state.capacity).cells, deleted
 
 
 # -- que primitives ----------------------------------------------------------
 
 def test_add_shifts_and_inserts_maybe():
-    assert que_add(q(B)).cells == (M, B)
-    assert que_add(q()).cells == (M,)
-    assert que_add(q(M, M, B)).cells == (M, M, M, B)
+    assert step((B,)) == ((M, B), None)
+    assert step(()) == ((M,), None)
+    assert step((M, M, B)) == ((M, M, M, B), None)
 
 
 def test_add_overflow():
     with pytest.raises(QueOverflowError):
-        que_add(q(T, B, capacity=2))
+        em_step(em_build("wire", 1), q(T, B, capacity=2), T)
 
 
 def test_del_returns_head_cell():
-    state, verdict = que_del(q(T, B), 1)
-    assert state.cells == (T,) and verdict is B
+    # add -> (M, B); the top offer settles cell 0; delete at 1 takes B
+    assert step((B,), top=(0, 0), head=1) == ((T,), B)
 
 
 def test_del_beyond_occupancy_is_noop():
-    state, verdict = que_del(q(B), 1)
-    assert state.cells == (B,) and verdict is None
+    assert step((B,), top=(0, 0), head=2) == ((T, B), None)
 
 
 def test_del_mid_queue():
-    state, verdict = que_del(q(B, T, T, B), 3)
-    assert state.cells == (B, T, T) and verdict is B
+    assert step((T, T, B), bot=(0, 0), head=3) == ((B, T, T), B)
 
 
 def test_del_of_maybe_is_hard_fault():
-    with pytest.raises(HardFault):
-        que_del(q(T, M), 1)
+    with pytest.raises(HardFault, match="deleted unresolved cell at head 1"):
+        step((M,), bot=(0, 0), head=1)
 
 
 def test_modify_resolves_maybe_only():
-    assert que_modify(q(M, B), (0, 0), True).cells == (T, B)
-    assert que_modify(q(T, B), (0, 1), False).cells == (T, B)
+    assert step((B,), top=(0, 0)) == ((T, B), None)
+    assert step((T, B), bot=(0, 2)) == ((B, T, B), None)
 
 
 def test_modify_skips_empty_positions_and_intervals():
-    assert que_modify(q(M, M, M, B), (1, 2), True).cells == (M, T, T, B)
-    assert que_modify(q(B), (2, 5), True).cells == (B,)
-    assert que_modify(q(M), (1, 0), True).cells == (M,)  # empty interval
+    assert step((M, M, B), top=(1, 2)) == ((M, T, T, B), None)
+    assert step((B,), top=(2, 5)) == ((M, B), None)
+    assert interval_mask((1, 0)) == 0
+    assert step((M,), top=(1, 0)) == ((M, M), None)  # empty interval
 
 
 def test_modify_sequence_from_worked_until_step():
-    state = que_modify(q(M, M, M, B), (1, 2), True)
-    state = que_modify(state, (0, 0), False)
-    assert state.cells == (B, T, T, B)
+    # until[1,2], step 4: top settles cells 1-2 true, bottom cell 0 false
+    assert step((M, M, B), bot=(0, 0), top=(1, 2)) == ((B, T, T, B), None)
+    assert step((M, M, B), bot=(0, 0), top=(1, 2), head=3) == ((B, T, T), B)
 
 
 # -- abstract machine result ---------------------------------------------------
@@ -391,6 +404,26 @@ def test_verdicts_never_change_once_given(kind, interval, f):
                 assert history[j + k][latency + k] == settled
                 checked += 1
     assert checked > 50
+
+
+@pytest.mark.parametrize("kind,interval,f", SINGLE_OPS)
+def test_golden_model_and_fabric_hold_the_same_cells(kind, interval, f):
+    # Checks the fabric's latched masks and truth tables against em_build's
+    # machines cell by cell, not only through the verdict streams.
+    cfg = FabricConfig(4, 4, 2, 8)
+    program = compile_formula(f, cfg)
+    (root,) = [qid for qid, que in enumerate(program.qs) if que.is_active]
+    fabric = Fabric(cfg)
+    fabric.load(encode_program(program))
+    em = em_build(kind, program.qs[root].head, interval)
+    state = empty_que(cfg.q_sz)
+    rng = random.Random(9)
+    for cycle in range(40):
+        event = [rng.random() < 0.5 for _ in range(cfg.n_ap)]
+        out = fabric.step(event)
+        state, tr = em_step_trace(em, state, *event[: em.arity])
+        assert QueState(*fabric._ques[root], cfg.q_sz).cells == tr.after_del, cycle
+        assert tr.verdict == (None if out is None else out[1]), cycle
 
 
 def test_overlapping_writers_trip_the_disjointness_fault():
