@@ -232,7 +232,7 @@ def compile_formula(
     to program, the verdict stream is that constant. Every AP the formula
     names must be on the fabric, even one that folding drops.
     """
-    top_ap = F.validate(f)
+    top_ap = max(F.ap_indices(f), default=-1)
     if top_ap >= cfg.n_ap:
         raise AllocationError(f"ap{top_ap} out of range for n_ap={cfg.n_ap}")
     folded = F.constant_fold(f)

@@ -9,29 +9,50 @@ Concrete syntax
     precedence  {!, X, G, F}  >  U  >  &  >  |  >  ->
     grouping    ( ... );  -> and U associate to the right
 
-Interval bounds are non-negative integers with a <= b (b finite).
-No atom may lie under more than ``MAX_NESTING`` operators, nor text open more
-than MAX_NESTING parentheses at once (ParseError), so every recursive pass
-stays well inside Python's default limit of 1000 frames. ``validate`` checks
-a whole tree; ``semantic_future``, ``constant_fold`` and ``pretty`` raise the
-same ParseError as they recurse past MAX_NESTING, for trees built in code.
-``semantic_future`` counts how many future events a verdict depends on; it
-defines the range of trace positions on which a verdict is determined. The
-operator minimum heads and the monitor latency belong to the hardware and
-live in ``machine.min_head`` and ``program.derive_latency``.
+Interval bounds are non-negative integers with a <= b (b finite). A node
+checks itself when it is built: a bad interval is an IntervalError, and a
+negative AP index or an atom more than ``MAX_NESTING`` operators below the
+node a ParseError. No such tree can exist, so every recursive pass stays well
+inside Python's default limit of 1000 frames; the parser also allows at most
+MAX_NESTING open parentheses. ``semantic_future`` counts how many future
+events a verdict depends on; it defines the range of trace positions on which
+a verdict is determined. The operator minimum heads and the monitor latency
+belong to the hardware and live in ``machine.min_head`` and
+``program.derive_latency``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import IntervalError, ParseError
+
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
 class Formula:
-    """Base class for AST nodes. Nodes are immutable and compare by value."""
+    """Base class for AST nodes. Nodes are immutable and compare by value.
+
+    ``depth`` is the most operators above any atom of the node: 0 for an
+    atom, otherwise 1 + its deepest child's.
+    """
+
+    depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        depth = 0
+        for kid in children(self):
+            if kid.depth >= depth:
+                depth = kid.depth + 1
+        if depth > MAX_NESTING:
+            raise ParseError(f"formula nests more than {MAX_NESTING} operators deep")
+        if isinstance(self, TEMPORAL):
+            _check_interval(self.lo, self.hi)
+        elif isinstance(self, AP) and self.index < 0:
+            raise ParseError(f"negative AP index {self.index}")
+        object.__setattr__(self, "depth", depth)
 
 
 @dataclass(frozen=True)
@@ -96,38 +117,10 @@ class Until(Formula):
 
 TEMPORAL = (Box, Diamond, Until)
 
-MAX_NESTING = 100
-
 
 def _check_interval(lo: int, hi: int, pos: int | None = None) -> None:
     if lo < 0 or hi < 0 or lo > hi:
         raise IntervalError(f"bad interval [{lo},{hi}]: need 0 <= lo <= hi", pos)
-
-
-def _deeper(depth: int) -> int:
-    """The depth of a child of a node at depth; ParseError past MAX_NESTING."""
-    if depth >= MAX_NESTING:
-        raise ParseError(f"formula nests more than {MAX_NESTING} operators deep")
-    return depth + 1
-
-
-def validate(f: Formula) -> int:
-    """Reject out-of-order intervals, negative AP indices and nesting past
-    MAX_NESTING anywhere in f, in pre-order; iterative, so any depth is
-    safe to check. Returns the largest AP index in f, -1 if there is none."""
-    top = -1
-    stack = [(f, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, TEMPORAL):
-            _check_interval(node.lo, node.hi)
-        if isinstance(node, AP):
-            if node.index < 0:
-                raise ParseError(f"negative AP index {node.index}")
-            top = max(top, node.index)
-        for child in reversed(children(node)):
-            stack.append((child, _deeper(depth)))
-    return top
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
@@ -156,23 +149,18 @@ def semantic_future(f: Formula) -> int:
 
     The verdict for time i is fully determined by events i .. i+N.
     """
-    return _semantic_future(f, 0)
-
-
-def _semantic_future(f: Formula, depth: int) -> int:
     if isinstance(f, (TrueConst, AP)):
         return 0
-    d = _deeper(depth)
     if isinstance(f, Not):
-        return _semantic_future(f.child, d)
+        return semantic_future(f.child)
     if isinstance(f, (And, Or, Implies)):
-        return max(_semantic_future(f.left, d), _semantic_future(f.right, d))
+        return max(semantic_future(f.left), semantic_future(f.right))
     if isinstance(f, Next):
-        return 1 + _semantic_future(f.child, d)
+        return 1 + semantic_future(f.child)
     if isinstance(f, Until):
-        return f.hi + max(_semantic_future(f.left, d), _semantic_future(f.right, d))
+        return f.hi + max(semantic_future(f.left), semantic_future(f.right))
     if isinstance(f, (Box, Diamond)):
-        return f.hi + _semantic_future(f.child, d)
+        return f.hi + semantic_future(f.child)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -188,50 +176,45 @@ def constant_fold(f: Formula) -> Formula | bool:
     equivalent residual operator (e.g. ``p U[t1,t2] true`` needs p to hold
     up to the start of the window, i.e. ``G[0,t1-1] p``).
     """
-    return _constant_fold(f, 0)
-
-
-def _constant_fold(f: Formula, depth: int) -> Formula | bool:
     if isinstance(f, TrueConst):
         return True
     if isinstance(f, AP):
         return f
-    d = _deeper(depth)
     if isinstance(f, Not):
-        c = _constant_fold(f.child, d)
+        c = constant_fold(f.child)
         return (not c) if isinstance(c, bool) else Not(c)
     if isinstance(f, And):
-        l, r = _constant_fold(f.left, d), _constant_fold(f.right, d)
+        l, r = constant_fold(f.left), constant_fold(f.right)
         if isinstance(l, bool):
             return r if l else False
         if isinstance(r, bool):
             return l if r else False
         return And(l, r)
     if isinstance(f, Or):
-        l, r = _constant_fold(f.left, d), _constant_fold(f.right, d)
+        l, r = constant_fold(f.left), constant_fold(f.right)
         if isinstance(l, bool):
             return True if l else r
         if isinstance(r, bool):
             return True if r else l
         return Or(l, r)
     if isinstance(f, Implies):
-        l, r = _constant_fold(f.left, d), _constant_fold(f.right, d)
+        l, r = constant_fold(f.left), constant_fold(f.right)
         if isinstance(l, bool):
             return r if l else True
         if isinstance(r, bool):
             return True if r else Not(l)
         return Implies(l, r)
     if isinstance(f, Next):
-        c = _constant_fold(f.child, d)
+        c = constant_fold(f.child)
         return c if isinstance(c, bool) else Next(c)
     if isinstance(f, Box):
-        c = _constant_fold(f.child, d)
+        c = constant_fold(f.child)
         return c if isinstance(c, bool) else Box(c, f.lo, f.hi)
     if isinstance(f, Diamond):
-        c = _constant_fold(f.child, d)
+        c = constant_fold(f.child)
         return c if isinstance(c, bool) else Diamond(c, f.lo, f.hi)
     if isinstance(f, Until):
-        l, r = _constant_fold(f.left, d), _constant_fold(f.right, d)
+        l, r = constant_fold(f.left), constant_fold(f.right)
         if isinstance(r, bool) and not r:
             return False  # no witness position can ever satisfy r
         if isinstance(l, bool) and isinstance(r, bool):
@@ -260,23 +243,22 @@ _UNARY_PREC = 5
 
 def pretty(f: Formula) -> str:
     """Render with the minimum parentheses the grammar needs."""
-    return _pretty(f, 0, 0)
+    return _pretty(f, 0)
 
 
-def _pretty(f: Formula, parent_prec: int, depth: int) -> str:
+def _pretty(f: Formula, parent_prec: int) -> str:
     if isinstance(f, TrueConst):
         return "true"
     if isinstance(f, AP):
         return f"ap{f.index}"
-    d = _deeper(depth)
     if isinstance(f, Not):
-        return "!" + _pretty(f.child, _UNARY_PREC, d)
+        return "!" + _pretty(f.child, _UNARY_PREC)
     if isinstance(f, Next):
-        return "X " + _pretty(f.child, _UNARY_PREC, d)
+        return "X " + _pretty(f.child, _UNARY_PREC)
     if isinstance(f, Box):
-        return f"G[{f.lo},{f.hi}] " + _pretty(f.child, _UNARY_PREC, d)
+        return f"G[{f.lo},{f.hi}] " + _pretty(f.child, _UNARY_PREC)
     if isinstance(f, Diamond):
-        return f"F[{f.lo},{f.hi}] " + _pretty(f.child, _UNARY_PREC, d)
+        return f"F[{f.lo},{f.hi}] " + _pretty(f.child, _UNARY_PREC)
     prec = _PREC[type(f)]
     sym = {And: "&", Or: "|", Implies: "->"}.get(type(f))
     right_assoc = isinstance(f, (Implies, Until))
@@ -286,7 +268,7 @@ def _pretty(f: Formula, parent_prec: int, depth: int) -> str:
     # other side must bind strictly tighter.
     lp = prec + 1 if right_assoc else prec
     rp = prec if right_assoc else prec + 1
-    text = f"{_pretty(f.left, lp, d)} {sym} {_pretty(f.right, rp, d)}"
+    text = f"{_pretty(f.left, lp)} {sym} {_pretty(f.right, rp)}"
     if prec < parent_prec:
         return "(" + text + ")"
     return text
@@ -438,6 +420,4 @@ def parse(text: str) -> Formula:
     kind, value, pos = p.peek()
     if kind != "eof":
         raise ParseError(f"unexpected trailing input {value!r}", pos)
-    if len(p.tokens) > MAX_NESTING:  # else too few operators to nest too deep
-        validate(f)
     return f

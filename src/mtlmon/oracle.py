@@ -7,7 +7,9 @@ bitmasks (bit t = truth at time t), which makes the expansion a handful of
 shift/mask operations per operator.
 
 Verdicts are emitted only where the finite trace determines them: time i is
-defined iff i + semantic_future(f) < len(trace).
+defined iff i + semantic_future(f) < len(trace); ``satisfies`` raises
+TraceError outside that range. A formula cannot be built nested deeper than
+``formula.MAX_NESTING``, so the recursion here needs no depth check.
 """
 
 from __future__ import annotations
@@ -64,14 +66,13 @@ def _eval_bits(f: F.Formula, cols: list[int], n: int, mask: int) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _columns(f: F.Formula, trace: Trace) -> list[int]:
-    aps = F.ap_indices(f)
-    if aps and trace.width <= max(aps):
-        raise TraceError(
-            f"trace width {trace.width} does not cover ap{max(aps)}"
-        )
-    width = max(aps) + 1 if aps else 0
-    return [trace.column(k) for k in range(width)]
+def _width(f: F.Formula, trace: Trace) -> int:
+    """The columns f reads: 1 + its largest AP index, 0 if it has none.
+    TraceError if the trace lacks one of them."""
+    top = max(F.ap_indices(f), default=-1)
+    if trace.width <= top:
+        raise TraceError(f"trace width {trace.width} does not cover ap{top}")
+    return top + 1
 
 
 def oracle_verdicts(f: F.Formula, trace: Trace) -> list[bool]:
@@ -81,40 +82,46 @@ def oracle_verdicts(f: F.Formula, trace: Trace) -> list[bool]:
     if defined <= 0:
         return []
     mask = (1 << n) - 1
-    bits = _eval_bits(f, _columns(f, trace), n, mask)
+    cols = [trace.column(k) for k in range(_width(f, trace))]
+    bits = _eval_bits(f, cols, n, mask)
     return [bool(bits >> i & 1) for i in range(defined)]
 
 
 def satisfies(f: F.Formula, trace: Trace, i: int) -> bool:
     """Textbook recursive satisfaction check; used to cross-check the
-    bitmask evaluation in tests. Only meaningful on the defined range."""
-    return _satisfies(f, trace, i, 0)
+    bitmask evaluation in tests. TraceError unless the trace covers every AP
+    of f and determines the verdict at i, i.e. 0 <= i < len(trace) -
+    semantic_future(f)."""
+    _width(f, trace)
+    last = len(trace) - 1 - F.semantic_future(f)
+    if not 0 <= i <= last:
+        raise TraceError(f"time {i} is outside 0..{last}, the times this trace determines")
+    return _satisfies(f, trace, i)
 
 
-def _satisfies(f: F.Formula, trace: Trace, i: int, depth: int) -> bool:
+def _satisfies(f: F.Formula, trace: Trace, i: int) -> bool:
     if isinstance(f, F.TrueConst):
         return True
     if isinstance(f, F.AP):
         return trace.events[i][f.index]
-    d = F._deeper(depth)
     if isinstance(f, F.Not):
-        return not _satisfies(f.child, trace, i, d)
+        return not _satisfies(f.child, trace, i)
     if isinstance(f, F.And):
-        return _satisfies(f.left, trace, i, d) and _satisfies(f.right, trace, i, d)
+        return _satisfies(f.left, trace, i) and _satisfies(f.right, trace, i)
     if isinstance(f, F.Or):
-        return _satisfies(f.left, trace, i, d) or _satisfies(f.right, trace, i, d)
+        return _satisfies(f.left, trace, i) or _satisfies(f.right, trace, i)
     if isinstance(f, F.Implies):
-        return not _satisfies(f.left, trace, i, d) or _satisfies(f.right, trace, i, d)
+        return not _satisfies(f.left, trace, i) or _satisfies(f.right, trace, i)
     if isinstance(f, F.Next):
-        return _satisfies(f.child, trace, i + 1, d)
+        return _satisfies(f.child, trace, i + 1)
     if isinstance(f, F.Box):
-        return all(_satisfies(f.child, trace, j, d) for j in range(i + f.lo, i + f.hi + 1))
+        return all(_satisfies(f.child, trace, j) for j in range(i + f.lo, i + f.hi + 1))
     if isinstance(f, F.Diamond):
-        return any(_satisfies(f.child, trace, j, d) for j in range(i + f.lo, i + f.hi + 1))
+        return any(_satisfies(f.child, trace, j) for j in range(i + f.lo, i + f.hi + 1))
     if isinstance(f, F.Until):
         return any(
-            _satisfies(f.right, trace, j, d)
-            and all(_satisfies(f.left, trace, k, d) for k in range(i, j))
+            _satisfies(f.right, trace, j)
+            and all(_satisfies(f.left, trace, k) for k in range(i, j))
             for j in range(i + f.lo, i + f.hi + 1)
         )
     raise TypeError(f"not a formula: {f!r}")

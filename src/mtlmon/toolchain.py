@@ -111,7 +111,6 @@ def check_formula(
     comes first, so an AP the fabric lacks is an AllocationError."""
     _require_width(trace, config)
     parsed = F.parse(f) if isinstance(f, str) else f
-    F.validate(parsed)  # before the recursive passes below
     text = F.pretty(parsed)
     compiled = compile_formula(parsed, config, forced_heads)
     reference = oracle_verdicts(parsed, trace)

@@ -50,9 +50,17 @@ class Trace:
         return bits
 
 
+_BIT = {0: False, 1: True}
+
+
 def make_trace(rows: Iterable[Sequence[int | bool]], width: int | None = None) -> Trace:
-    """A trace from 0/1 rows; ``width`` fixes the width of a trace without rows."""
-    return Trace(tuple(tuple(bool(v) for v in row) for row in rows), width)
+    """A trace from 0/1 rows; ``width`` fixes the width of a trace without rows.
+    A value that equals neither 0 nor 1 is a TraceError."""
+    try:
+        events = tuple(tuple(map(_BIT.__getitem__, row)) for row in rows)
+    except (KeyError, TypeError):
+        raise TraceError("AP values must be 0 or 1") from None
+    return Trace(events, width)
 
 
 def read_trace(path: str) -> Trace:

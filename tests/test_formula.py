@@ -1,10 +1,15 @@
+import dataclasses
+import sys
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import formulas
 from mtlmon import formula as F
+from mtlmon.compiler import compile_formula
 from mtlmon.errors import IntervalError, ParseError
 from mtlmon.oracle import oracle_verdicts, satisfies
+from mtlmon.program import FabricConfig
 from mtlmon.trace import make_trace
 
 
@@ -64,32 +69,83 @@ def test_parenthesis_nesting_limit():
     assert err.value.position == N
 
 
-def test_validate_checks_the_nesting_of_built_formulas():
+def _tower(build):
     f = F.AP(0)
-    for depth in range(1, 5001):
-        f = F.Not(f)
-        if depth == N:
-            F.validate(f)
-    with pytest.raises(ParseError, match=f"more than {N} operators deep"):
-        F.validate(f)  # iterative: no RecursionError at any depth
+    for _ in range(N):
+        f = build(f)
+    return f
 
 
-def test_recursive_passes_reject_deep_trees_built_in_code():
-    # oracle_verdicts reaches its recursion through semantic_future.
-    trace = make_trace([[1]] * 3)
-    passes = (F.semantic_future, F.constant_fold, F.pretty, lambda f: oracle_verdicts(f, trace),
-              lambda f: satisfies(f, trace, 0))
-    f = F.AP(0)
-    for depth in range(1, 2001):
-        f = F.Not(f)
-        if depth == N:
-            for run in passes:
-                run(f)
-    for run in passes:
+# One builder per operator class and operand side: each puts f one level
+# deeper.
+_LEVEL = {
+    "not": F.Not,
+    "next": F.Next,
+    "box": lambda f: F.Box(f, 0, 1),
+    "diamond": lambda f: F.Diamond(f, 0, 1),
+    "and-left": lambda f: F.And(f, F.AP(1)),
+    "and-right": lambda f: F.And(F.AP(1), f),
+    "or-left": lambda f: F.Or(f, F.AP(1)),
+    "or-right": lambda f: F.Or(F.AP(1), f),
+    "implies-left": lambda f: F.Implies(f, F.AP(1)),
+    "implies-right": lambda f: F.Implies(F.AP(1), f),
+    "until-left": lambda f: F.Until(f, F.AP(1), 0, 1),
+    "until-right": lambda f: F.Until(F.AP(1), f, 0, 1),
+}
+
+
+def test_building_past_the_nesting_limit_raises():
+    for name, level in _LEVEL.items():
+        f = _tower(level)
+        assert f.depth == N, name
         with pytest.raises(ParseError, match=f"more than {N} operators deep"):
-            run(f)
+            level(f)
+    at_limit = _tower(F.Not)
+    until = F.Until(F.AP(0), F.AP(1), 0, 1)
+    for node, side in ((F.Not(F.AP(0)), "child"), (until, "left"), (until, "right")):
         with pytest.raises(ParseError, match=f"more than {N} operators deep"):
-            run(F.Until(F.AP(0), F.Not(F.Not(f)), 0, 1))
+            dataclasses.replace(node, **{side: at_limit})
+
+
+def test_bad_leaves_and_intervals_raise_when_built():
+    with pytest.raises(IntervalError, match=r"bad interval \[3,1\]"):
+        F.Box(F.AP(0), 3, 1)
+    with pytest.raises(IntervalError):
+        dataclasses.replace(F.Until(F.AP(0), F.AP(1), 0, 2), lo=-1)
+    with pytest.raises(ParseError, match="negative AP index -1"):
+        F.AP(-1)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_recursive_passes_fit_the_recursion_budget():
+    # Every recursive pass on the deepest towers the limit admits, and the
+    # parser on the most parentheses, with 700 frames to spare: about 100
+    # per pass, 300 for compile_formula and for satisfies on Box and Until,
+    # and 620 for the parentheses.
+    cfg = FabricConfig(512, 512, 1, 512)
+    trace = make_trace([[1]] * (N + 2))
+    towers = [(_tower(F.Not), 0), (_tower(lambda f: F.Box(f, 1, 1)), N),
+              (_tower(lambda f: F.Until(F.AP(0), f, 0, 1)), N)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 700)
+    try:
+        for f, future in towers:
+            assert F.ap_indices(f) == {0}
+            assert F.semantic_future(f) == future
+            assert F.constant_fold(f) == f
+            assert F.parse(F.pretty(f)) == f
+            assert len(oracle_verdicts(f, trace)) == len(trace) - future
+            assert satisfies(f, trace, 0) == oracle_verdicts(f, trace)[0]
+            assert compile_formula(f, cfg).latency > 0
+        assert F.parse("(" * N + "ap0" + ")" * N) == F.AP(0)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @pytest.mark.parametrize("text, position", [

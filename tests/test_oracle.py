@@ -37,6 +37,15 @@ def test_width_must_cover_ap_indices():
         oracle_verdicts(F.AP(3), make_trace([[0, 1]]))
 
 
+def test_satisfies_rejects_aps_and_times_the_trace_does_not_cover():
+    with pytest.raises(TraceError, match="trace width 1 does not cover ap5"):
+        satisfies(F.AP(5), make_trace([[1]]), 0)
+    for f, rows, i in ((F.Next(F.AP(0)), [[1]], 0), (F.AP(0), [[1]], 3),
+                       (F.AP(0), [[1], [0]], -1)):
+        with pytest.raises(TraceError, match=f"time {i} is outside"):
+            satisfies(f, make_trace(rows), i)
+
+
 def test_defined_range_shrinks_with_lookahead():
     f = F.Box(F.AP(0), 0, 3)
     tr = make_trace([[1]] * 10)

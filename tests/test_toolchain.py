@@ -82,18 +82,15 @@ def test_check_report_shape():
 
 def test_check_at_the_nesting_limit():
     # Every pass, from the parser to the fabric and the oracle, at the
-    # deepest formula the limit admits; one level more fails before any of
-    # them recurses.
+    # deepest formula the limit admits; one level more fails in the parser,
+    # before any pass runs.
     n = F.MAX_NESTING
     cfg = FabricConfig(128, 128, 4, 16)
     trace = random_trace(random.Random(4), 2 * n + 10, cfg.n_ap)
     report = check_formula("!(" * n + "ap0" + ")" * n, cfg, trace)
     assert report.ok and len(report.verdicts) == 11
-    deeper = F.AP(0)
-    for _ in range(n + 1):
-        deeper = F.Not(deeper)
     with pytest.raises(ParseError, match="operators deep"):
-        check_formula(deeper, cfg, trace)
+        check_formula("!" + "!(" * n + "ap0" + ")" * n, cfg, trace)
 
 
 def test_random_trace_without_rows_keeps_its_width():

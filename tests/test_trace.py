@@ -45,6 +45,16 @@ def test_make_trace_width_for_no_rows():
     assert make_trace([[1, 0]]) == Trace(((True, False),), width=2)
 
 
+@pytest.mark.parametrize("value", [2, -1, 0.5, "1", None, [1]])
+def test_make_trace_rejects_values_other_than_0_and_1(value):
+    with pytest.raises(TraceError, match="AP values must be 0 or 1"):
+        make_trace([[value], [0]])
+
+
+def test_make_trace_takes_bools_and_numbers_equal_to_0_or_1():
+    assert make_trace([[True, False, 0, 1, 1.0]]).events == ((True, False, False, True, True),)
+
+
 @pytest.mark.parametrize("events, width", [
     (((True,), (False,)), 2),            # declared width disagrees with rows
     (((True, False),), 1),
