@@ -40,11 +40,11 @@ class QueOverflowError(RuntimeError):
 class HardFault(RuntimeError):
     """An impossible-by-construction condition occurred at runtime: a que
     deleted an unresolved cell at its head, one cycle's offers of one
-    polarity to a que left a cell uncovered inside their span (the message
-    names the polarity, and the fabric's names the que too), or two
-    golden-model machines modified common cells. The golden model and the
-    fabric share the que rule, ``machine.que_step``, so either can raise
-    the first two. Signals a misprogrammed monitor, never user error."""
+    polarity to a que left a cell uncovered inside their span, or one
+    cycle's writers offered an unknown cell both true and false. The golden
+    model and the fabric share the que rule, ``machine.que_step``, so either
+    can raise each; the fabric's message names the que too. Signals a
+    misprogrammed monitor, never user error."""
 
 
 class ProtocolError(RuntimeError):

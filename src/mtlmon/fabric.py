@@ -16,11 +16,12 @@ interconnect phases:
 3. PE -> que: the que ORs its writers' offers per polarity into a single
    top mask and a single bottom mask.
 4. que: the que takes one ``machine.que_step`` on those masks, the
-   que-update rule the golden model runs too (gap test, add, modify,
-   delete at its head). The deleted value is latched onto the que->PE
-   crossbar for the next cycle, except the verdict que's value, which
-   leaves through the output port immediately. The ques commit only after
-   all have updated, so a cycle that raises leaves every que as it was.
+   que-update rule the golden model runs too (gap test, add, conflict test
+   on cells offered true and false, modify, delete at its head). The deleted
+   value is latched onto the que->PE crossbar for the next cycle, except the
+   verdict que's value, which leaves through the output port immediately.
+   The ques commit only after all have updated, so a cycle that raises
+   leaves every que as it was.
 
 The verdict leaving at running cycle c (0-based since the program latched)
 is the formula verdict for time c - latency + 1; warm-up cycles produce no

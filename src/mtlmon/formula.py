@@ -10,13 +10,14 @@ Concrete syntax
     grouping    ( ... );  -> and U associate to the right
 
 Interval bounds are non-negative integers with a <= b (b finite). A node
-checks itself when it is built: a bad interval is an IntervalError, and a
-negative AP index or an atom more than ``MAX_NESTING`` operators below the
-node a ParseError. No such tree can exist, so every recursive pass stays well
-inside Python's default limit of 1000 frames; the parser also allows at most
-MAX_NESTING open parentheses. ``semantic_future`` counts how many future
-events a verdict depends on; it defines the range of trace positions on which
-a verdict is determined. The operator minimum heads and the monitor latency
+checks itself when it is built: a child that is not a Formula is a
+TypeError, a bad interval an IntervalError, and a negative AP index or an
+atom more than ``MAX_NESTING`` operators below the node a ParseError. No
+such tree can exist, so every recursive pass stays well inside Python's
+default limit of 1000 frames; the parser also allows at most MAX_NESTING
+open parentheses. ``semantic_future`` counts how many future events a
+verdict depends on; it defines the range of trace positions on which a
+verdict is determined. The operator minimum heads and the monitor latency
 belong to the hardware and live in ``machine.min_head`` and
 ``program.derive_latency``.
 """
@@ -44,6 +45,8 @@ class Formula:
     def __post_init__(self):
         depth = 0
         for kid in children(self):
+            if not isinstance(kid, Formula):
+                raise TypeError(f"not a formula: {kid!r}")
             if kid.depth >= depth:
                 depth = kid.depth + 1
         if depth > MAX_NESTING:

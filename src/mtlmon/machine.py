@@ -8,9 +8,9 @@ it realizes exactly one MTL operator, and the values deleted at the que head
 form its verdict stream.
 
 Shared-que stepping: the machines' offers are ORed per polarity and the
-que takes one ``que_step``, the que-update rule the fabric runs too. The
-firing machines of one step never settle a common cell (checked), so the
-order of the machines does not matter.
+que takes one ``que_step``, the que-update rule the fabric runs too, so the
+order of the machines does not matter. Overlapping offers of one polarity
+are harmless; a cell offered both true and false is a hard fault.
 """
 
 from __future__ import annotations
@@ -90,12 +90,13 @@ def que_step(
     offers of the que's firing writers as masks. Each must be one contiguous
     run of cells, because until's machines close a span together; a gap is
     a hard fault. Then: add shifts every cell up one and makes cell 0 an
-    unknown cell; modify settles the unknown live cells of ``top`` true,
-    then those of ``bot`` false, so settled cells and cells beyond the
-    occupancy are untouched; delete removes cell ``head`` once it exists,
-    and deleting an unknown cell is a hard fault (a misprogrammed head).
-    Every reachable que enters with at most ``head`` cells, so the deleted
-    cell is the oldest and the que keeps ``head`` cells.
+    unknown cell; an unknown live cell in both ``top`` and ``bot`` is a
+    hard fault, since writers disagree on it; modify settles the other
+    unknown live cells of ``top`` true and of ``bot`` false, leaving the
+    rest as they are; delete removes cell ``head`` once it exists, and
+    deleting an unknown cell is a hard fault (a misprogrammed head). Every
+    reachable que enters with at most ``head`` cells, so the deleted cell
+    is the oldest and the que keeps ``head`` cells.
     """
     if top & (top + (top & -top)) or bot & (bot + (bot & -bot)):
         for mask, polarity in ((top, "top"), (bot, "bot")):
@@ -107,6 +108,11 @@ def que_step(
     occ += 1
     live = (1 << occ) - 1
     known <<= 1
+    if top & bot:
+        clash = top & bot & live & ~known
+        if clash:
+            k = (clash & -clash).bit_length() - 1
+            raise HardFault(f"top and bot offers both settle cell {k}")
     new = top & live & ~known
     value = value << 1 | new
     known |= new | bot & live
@@ -270,13 +276,9 @@ def em_step_trace(
         )
     assert q.occupancy <= em.head, "occupancy exceeded head"
     operands = (op0, op1)
-    # The unknown live cells once the add has run: the cells a modify can
-    # settle, judged before any modify so an earlier one cannot mask an overlap.
-    unknown = (1 << q.occupancy + 1) - 1 & ~(q.known << 1)
     results = []
     fired = []
     offer = [0, 0]  # [bottom mask, top mask]
-    touched = 0
     for am in em.ams:
         res = am_result(
             am.opcode, operands[am.op0], None if am.op1 is None else operands[am.op1]
@@ -284,15 +286,7 @@ def em_step_trace(
         results.append(res)
         interval = am.top_interval if res else am.bot_interval
         if not is_empty(interval):
-            mask = interval_mask(interval)
-            # The firing machines of one step must settle disjoint cells;
-            # overlap would make the shared-que result order-dependent.
-            common = touched & mask
-            if common:
-                cells = {k for k in range(common.bit_length()) if common >> k & 1}
-                raise HardFault(f"machines of {em.kind} modified common cells {cells}")
-            touched |= mask & unknown
-            offer[res] |= mask
+            offer[res] |= interval_mask(interval)
             fired.append((res, interval))
     after_add = (MAYBE,) + q.cells
     que, verdict = que_step((q.occupancy, q.known, q.value), *offer, em.head)

@@ -14,19 +14,28 @@ from typing import Iterable, Sequence
 from .errors import TraceError
 
 
+_BIT = {0: False, 1: True}
+
+
 @dataclass(frozen=True)
 class Trace:
     """A fixed-width sequence of AP valuations; events[t][k] is ap<k> at t.
 
     The width is the number of APs per valuation. Left out, it is taken from
     the rows (0 for a trace without rows); given, it must match the rows.
+    A value equal to neither 0 nor 1 is a TraceError; values become bools.
     """
 
     events: tuple[tuple[bool, ...], ...]
     width: int | None = None
 
     def __post_init__(self):
-        widths = {len(e) for e in self.events}
+        try:
+            events = tuple(tuple(map(_BIT.__getitem__, row)) for row in self.events)
+        except (KeyError, TypeError):
+            raise TraceError("AP values must be 0 or 1") from None
+        object.__setattr__(self, "events", events)
+        widths = {len(e) for e in events}
         if len(widths) > 1:
             raise TraceError(f"ragged trace: row widths {sorted(widths)}")
         if self.width is None:
@@ -50,17 +59,9 @@ class Trace:
         return bits
 
 
-_BIT = {0: False, 1: True}
-
-
 def make_trace(rows: Iterable[Sequence[int | bool]], width: int | None = None) -> Trace:
-    """A trace from 0/1 rows; ``width`` fixes the width of a trace without rows.
-    A value that equals neither 0 nor 1 is a TraceError."""
-    try:
-        events = tuple(tuple(map(_BIT.__getitem__, row)) for row in rows)
-    except (KeyError, TypeError):
-        raise TraceError("AP values must be 0 or 1") from None
-    return Trace(events, width)
+    """A trace from 0/1 rows; ``width`` fixes the width of a trace without rows."""
+    return Trace(tuple(rows), width)
 
 
 def read_trace(path: str) -> Trace:

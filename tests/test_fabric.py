@@ -408,7 +408,7 @@ def test_run_outcomes_of_hostile_bodies_are_pinned():
                 outcome = repr(verdicts)
                 counts[1] += 1
             digest.update(outcome.encode() + b"\n")
-    assert counts == [3295, 2474, 231]
+    assert counts == [3295, 2423, 282]
     assert digest.hexdigest() == (
-        "91906a2051aa86014bba879050b78fe284c0400cd642592ce25096d2294ad7d4"
+        "71398e7ea98f06f34f85e4b885fa24472bdfc1104aabccd15f8940c4ab915ff8"
     )

@@ -116,6 +116,13 @@ def test_bad_leaves_and_intervals_raise_when_built():
         F.AP(-1)
 
 
+@pytest.mark.parametrize("level", _LEVEL)
+@pytest.mark.parametrize("operand", [None, 0, "ap0"])
+def test_an_operand_that_is_not_a_formula_raises_when_built(level, operand):
+    with pytest.raises(TypeError, match=f"^not a formula: {operand!r}$"):
+        _LEVEL[level](operand)
+
+
 def _stack_depth() -> int:
     frame, depth = sys._getframe(), 0
     while frame is not None:

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from mtlmon.fabric import Fabric
 from mtlmon.machine import (
     EMPTY_INTERVAL,
     MAYBE,
+    OPCODE_ARITY,
     AmProgram,
     EvaluatorMachine,
     QueState,
@@ -26,7 +29,14 @@ from mtlmon.machine import (
     stream_ports,
 )
 from mtlmon.oracle import oracle_verdicts
-from mtlmon.program import FabricConfig
+from mtlmon.program import (
+    INACTIVE_PE,
+    INACTIVE_Q,
+    FabricConfig,
+    MonitorProgram,
+    PeConfig,
+    QConfig,
+)
 from mtlmon.trace import make_trace
 
 T, B, M = True, False, MAYBE
@@ -426,18 +436,86 @@ def test_golden_model_and_fabric_hold_the_same_cells(kind, interval, f):
         assert tr.verdict == (None if out is None else out[1]), cycle
 
 
-def test_overlapping_writers_trip_the_disjointness_fault():
-    # two machines resolving cell 0 simultaneously is not a legal realization
-    rogue = EvaluatorMachine(
-        "rogue",
-        (
-            AmProgram("wire", 0, None, (0, 0), (0, 0)),
-            AmProgram("wire", 0, None, (0, 0), (0, 0)),
-        ),
-        head=1,
-    )
-    with pytest.raises(HardFault):
-        em_step(rogue, empty_que(4), T)
+GROUP_CFG = FabricConfig(4, 4, 2, 8)
+
+
+def group_fabric(ams, head):
+    """A fabric whose PEs 0.. run the machines ams, in order, and write
+    verdict que 0 with the given head; a machine's stream s is ap<s>."""
+    cfg = GROUP_CFG
+    idle = cfg.n_pe - len(ams)
+    pes = tuple(PeConfig(True, False, False, am.opcode, 0, am.top_interval, am.bot_interval)
+                for am in ams) + (INACTIVE_PE,) * idle
+    routes = tuple((am.op0, am.op1 or 0) for am in ams) + ((0, 0),) * idle
+    qs = (QConfig(True, True, 0, 0, head),) + (INACTIVE_Q,) * (cfg.n_q - 1)
+    fabric = Fabric(cfg)
+    fabric.load(encode_program(MonitorProgram(cfg, pes, qs, routes, head + 1)))
+    return fabric
+
+
+def group_outcomes(ams, head, events):
+    """The per-cycle verdicts of ams as one EM on em_step and as PEs on the
+    fabric, each list ending in the HardFault message that stopped it, if
+    any (the fabric's without its que prefix)."""
+    em = EvaluatorMachine("group", tuple(ams), head)
+    fabric = group_fabric(ams, head)
+    state, golden, fabric_out = empty_que(head + 1), [], []
+    try:
+        for event in events:
+            state, verdict = em_step(em, state, *event[: em.arity])
+            golden.append(verdict)
+    except HardFault as fault:
+        golden.append(str(fault))
+    try:
+        for event in events:
+            out = fabric.step(event)
+            fabric_out.append(None if out is None else out[1])
+    except HardFault as fault:
+        fabric_out.append(str(fault).removeprefix("Q0 "))
+    return golden, fabric_out
+
+
+def test_writers_offering_one_cell_both_values_fault_and_equal_offers_merge():
+    # wire and not of one operand offer cell 0 true and false every cycle;
+    # two wires offer it the same value, which the que ORs.
+    events = [[1, 0], [0, 0], [1, 1], [1, 0]]
+    disagree = (AmProgram("wire", 0, None, (0, 0), (0, 0)),
+                AmProgram("not", 0, None, (0, 0), (0, 0)))
+    with pytest.raises(HardFault, match="^top and bot offers both settle cell 0$"):
+        em_step(EvaluatorMachine("rogue", disagree, 1), empty_que(2), T)
+    with pytest.raises(HardFault, match="^Q0 top and bot offers both settle cell 0$"):
+        group_fabric(disagree, 1).step(events[0])
+    agree = (AmProgram("wire", 0, None, (0, 0), (0, 0)),) * 2
+    assert group_outcomes(agree, 1, events) == ([None, T, B, T], [None, T, B, T])
+
+
+def test_golden_model_and_fabric_agree_on_random_writer_groups():
+    # 1-3 writers of random opcodes and intervals on one que, stepped as one
+    # EM and as PEs: the same verdicts each cycle, or the same fault.
+    rng = random.Random(12)
+
+    def interval(head):
+        if rng.random() < 0.3:
+            return EMPTY_INTERVAL
+        return tuple(sorted((rng.randrange(head), rng.randrange(head))))
+
+    faults = collections.Counter()
+    for _ in range(1000):
+        head = rng.randint(4, 7)
+        ams = []
+        for _ in range(rng.randint(1, 3)):
+            opcode = rng.choice(sorted(OPCODE_ARITY))
+            op1 = rng.randrange(2) if OPCODE_ARITY[opcode] == 2 else None
+            ams.append(AmProgram(opcode, rng.randrange(2), op1, interval(head), interval(head)))
+        if all(0 not in (am.op0, am.op1) for am in ams):  # the EM's streams start at 0
+            ams = [dataclasses.replace(am, op0=0, op1=None if am.op1 is None else 0) for am in ams]
+        events = [[rng.random() < 0.5, rng.random() < 0.5] for _ in range(20)]
+        golden, fabric_out = group_outcomes(ams, head, events)
+        assert golden == fabric_out, (ams, head, events)
+        if isinstance(golden[-1], str):
+            faults[golden[-1].split(" cell")[0]] += 1
+    assert faults["top and bot offers both settle"] > 0
+    assert faults["deleted unresolved"] > 0
 
 
 def test_occupancy_never_exceeds_head_plus_one():

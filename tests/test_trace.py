@@ -93,6 +93,18 @@ def test_file_that_is_not_utf8_is_rejected(tmp_path):
         read_trace(str(path))
 
 
+@pytest.mark.parametrize("value", [2, -1, None])
+def test_a_trace_built_directly_takes_only_0_and_1(value):
+    with pytest.raises(TraceError, match="AP values must be 0 or 1"):
+        Trace(((1,), (value,)))
+
+
+def test_a_trace_built_directly_holds_bools():
+    events = Trace(((1, 0), (0, 1))).events
+    assert events == ((True, False), (False, True))
+    assert all(type(v) is bool for row in events for v in row)
+
+
 def test_ragged_rows_rejected():
     with pytest.raises(TraceError):
         Trace(((True,), (True, False)))
