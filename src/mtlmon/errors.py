@@ -42,9 +42,10 @@ class HardFault(RuntimeError):
     deleted an unresolved cell at its head, one cycle's offers of one
     polarity to a que left a cell uncovered inside their span, or one
     cycle's writers offered an unknown cell both true and false. The golden
-    model and the fabric share the que rule, ``machine.que_step``, so either
-    can raise each; the fabric's message names the que too. Signals a
-    misprogrammed monitor, never user error."""
+    model and the fabric share the que rules, ``machine.check_offers`` for
+    the gap and ``machine.que_step`` for the rest, so either can raise each;
+    the fabric's message names the que too. Signals a misprogrammed
+    monitor, never user error."""
 
 
 class ProtocolError(RuntimeError):

@@ -14,10 +14,14 @@ interconnect phases:
    intervals offer nothing. A que none of whose writers computed
    (pipeline warm-up) idles this cycle.
 3. PE -> que: the que ORs its writers' offers per polarity into a single
-   top mask and a single bottom mask.
+   top mask and a single bottom mask, which ``machine.check_offers`` tests
+   for gaps. Phases 2-3 are a fixed function of the operand values the
+   que's writers read, so each que memoizes it: the first cycle that
+   meets a combination of those values runs the writers and stores the
+   masks (or the idle), and later cycles look them up.
 4. que: the que takes one ``machine.que_step`` on those masks, the
-   que-update rule the golden model runs too (gap test, add, conflict test
-   on cells offered true and false, modify, delete at its head). The deleted
+   que-update rule the golden model runs too (add, conflict test on cells
+   offered true and false, modify, delete at its head). The deleted
    value is latched onto the que->PE crossbar for the next cycle, except the
    verdict que's value, which leaves through the output port immediately.
    The ques commit only after all have updated, so a cycle that raises
@@ -36,11 +40,19 @@ A HardFault is terminal: step raises ProtocolError until begin_reprogram.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .bitstream import decode_program
 from .errors import AllocationError, HardFault, ProtocolError, TraceError
-from .machine import OPCODE_ARITY, am_result, interval_mask, is_empty, que_step
+from .machine import (
+    OPCODE_ARITY,
+    am_result,
+    check_offers,
+    interval_mask,
+    is_empty,
+    que_step,
+)
 from .program import (
     FabricConfig,
     MonitorProgram,
@@ -52,6 +64,33 @@ from .program import (
 # The event values step accepts, equal to {0, 1}. Stored as bools, so the
 # bool events of a Trace match by identity, which halves the check's cost.
 _BITS = frozenset((False, True))
+
+# Each opcode's truth table, indexed by v0 + 2*v1 (a unary one reads v0).
+_TABLES = {
+    op: tuple(am_result(op, *(bool(i & 1), bool(i & 2))[:arity]) for i in range(4))
+    for op, arity in OPCODE_ARITY.items()
+}
+
+
+def _offer(writers: list, reads: list) -> Optional[tuple[int, int]]:
+    """What a que's writers offer on one read vector: None when none of them
+    has all its operands (the que idles), else their (bottom, top) masks ORed
+    per polarity, which must pass ``check_offers``. A value is read by its
+    truth, so 1.0 reads as 1. ``step`` memoizes the result per key."""
+    offer = None
+    for table, i0, i1, masks in writers:
+        v0 = reads[i0]
+        v1 = reads[i1]
+        if v0 is None or v1 is None:
+            continue
+        res = table[bool(v0) + 2 * bool(v1)]
+        if offer is None:
+            offer = [0, 0]
+        offer[res] |= masks[res]
+    if offer is None:
+        return None
+    check_offers(*offer)
+    return offer[0], offer[1]
 
 
 class Fabric:
@@ -67,7 +106,8 @@ class Fabric:
         self.program: Optional[MonitorProgram] = None
         self._buffer = bytearray()
         self._ques: list[tuple[int, int, int]] = [(0, 0, 0)] * config.n_q
-        self._delivered: list = [None] * config.n_q
+        self._delivered: list = [None]
+        self._verdict = 0
         self._plan: list = []
 
     # -- programming port ---------------------------------------------------
@@ -103,14 +143,21 @@ class Fabric:
 
         One pass checks the PEs in pid order, then the ques, and groups the
         active PEs by result que. The plan holds one entry per driven que,
-        in ascending qid: (qid, head, is_verdict, writers). A writer is its
-        truth table, indexed by v0 + 2*v1 and built from ``am_result``; its
-        two operand ports as (from_que, index), a unary PE reading its one
-        port twice and so using entries 0 and 3; and its (bottom, top)
-        interval masks, indexed by its result. Deriving the latency also
-        rejects cyclic que routing.
+        in ascending qid: (qid, head, key, memo, writers). ``step`` reads
+        one vector a cycle: the event's AP values, then the last cycle's
+        deliveries of the driven ques in plan order, then a slot that is
+        always None, which is what a port routed from any other que reads.
+        No port reads the verdict que's slot; ``step`` emits its value.
+        ``key`` is an itemgetter over the vector slots the que's writers
+        read, and ``memo`` maps each key met so far to the que's offer (see
+        ``_offer``). A writer is its truth table from ``_TABLES``, indexed
+        by v0 + 2*v1; the vector slots of its two operand ports, a unary PE
+        reading its one port twice and so using entries 0 and 3; and its
+        (bottom, top) interval masks, indexed by its result. Deriving the
+        latency also rejects cyclic que routing.
         """
         cfg = self.config
+        n_ap = cfg.n_ap
         pes, qs = program.pes, program.qs
         sources = resolve_operands(pes, qs)
         writers: dict[int, list] = {}
@@ -124,23 +171,21 @@ class Fabric:
             for name, iv in (("top", pe.top_interval), ("bot", pe.bot_interval)):
                 if not is_empty(iv) and iv[1] >= cfg.q_sz:
                     raise AllocationError(f"PE{pid} {name} interval {iv} exceeds que size")
-            arity = OPCODE_ARITY[pe.opcode]
             ports = []
-            for slot in range(arity):
+            for slot in range(OPCODE_ARITY[pe.opcode]):
                 from_que = slot_from_que(pe, slot)
                 if from_que:
                     src = sources[(pid, slot)]
                 else:
                     src = program.routes[pid][slot]
-                    if src >= cfg.n_ap:
+                    if src >= n_ap:
                         raise AllocationError(
-                            f"PE{pid} operand {slot} reads ap{src}, n_ap={cfg.n_ap}"
+                            f"PE{pid} operand {slot} reads ap{src}, n_ap={n_ap}"
                         )
                 ports.append((from_que, src))
-            table = tuple(am_result(pe.opcode, *(bool(i & 1), bool(i & 2))[:arity])
-                          for i in range(4))
             masks = (interval_mask(pe.bot_interval), interval_mask(pe.top_interval))
-            writers.setdefault(pe.r_qid, []).append((table, ports[0], ports[-1], masks))
+            writer = (_TABLES[pe.opcode], ports[0], ports[-1], masks)
+            writers.setdefault(pe.r_qid, []).append(writer)
         for qid, q in enumerate(qs):
             if not q.is_active:
                 continue
@@ -161,10 +206,27 @@ class Fabric:
                 )
         self.latency = derive_latency(pes, qs, sources)
         self.program = program
-        self._plan = [(qid, qs[qid].head, qs[qid].is_verdict, ws)
-                      for qid, ws in sorted(writers.items())]
+        driven = sorted(writers)
+        none_slot = n_ap + len(driven)
+        self._verdict = len(driven)  # the plan position of the verdict que
+        slot_of = {}
+        for pos, qid in enumerate(driven):
+            if qs[qid].is_verdict:
+                self._verdict = pos
+            else:
+                slot_of[qid] = n_ap + pos
+
+        def slot(port):
+            from_que, src = port
+            return slot_of.get(src, none_slot) if from_que else src
+
+        self._plan = []
+        for qid in driven:
+            ws = [(table, slot(p0), slot(p1), masks) for table, p0, p1, masks in writers[qid]]
+            read = sorted({i for _, i0, i1, _ in ws for i in (i0, i1)})
+            self._plan.append((qid, qs[qid].head, itemgetter(*read), {}, ws))
         self._ques = [(0, 0, 0)] * cfg.n_q
-        self._delivered = [None] * cfg.n_q
+        self._delivered = [None] * (len(driven) + 1)
         self.run_cycle = 0
         self.mode = "running"
 
@@ -182,36 +244,33 @@ class Fabric:
         if not _BITS.issuperset(ap_values):
             raise TraceError("event values must be 0 or 1")
 
-        reads = (ap_values, self._delivered)
-        new_delivered: list = [None] * cfg.n_q
-        ques = self._ques[:]
-        out: Optional[bool] = None
+        reads = [*ap_values, *self._delivered]
+        ques = self._ques
+        delivered: list = []
+        updates = []
         try:
-            for qid, head, is_verdict, writers in self._plan:
-                offer = None  # [bottom mask, top mask] once a writer computes
-                for table, (q0, r0), (q1, r1), masks in writers:
-                    v0 = reads[q0][r0]
-                    v1 = reads[q1][r1]
-                    if v0 is None or v1 is None:
-                        continue
-                    res = table[v0 + 2 * v1]
-                    if offer is None:
-                        offer = [0, 0]
-                    offer[res] |= masks[res]
+            for qid, head, key, memo, writers in self._plan:
+                k = key(reads)
+                try:
+                    offer = memo[k]
+                except KeyError:
+                    offer = memo[k] = _offer(writers, reads)
                 if offer is None:
+                    delivered.append(None)
                     continue
                 bot, top = offer
-                ques[qid], bit = que_step(ques[qid], bot, top, head)
-                if is_verdict:
-                    out = bit
-                else:
-                    new_delivered[qid] = bit
+                que, bit = que_step(ques[qid], bot, top, head)
+                updates.append((qid, que))
+                delivered.append(bit)
         except HardFault as fault:
             self.mode = "faulted"  # until begin_reprogram
             raise HardFault(f"Q{qid} {fault}") from None
 
-        self._ques = ques
-        self._delivered = new_delivered
+        for qid, que in updates:
+            ques[qid] = que
+        delivered.append(None)
+        out = delivered[self._verdict]
+        self._delivered = delivered
         cycle = self.run_cycle
         self.run_cycle += 1
         self.total_cycles += 1

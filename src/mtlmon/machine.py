@@ -77,6 +77,19 @@ def interval_mask(interval: Interval) -> int:
     return 0 if is_empty(interval) else (1 << (hi + 1)) - (1 << lo)
 
 
+def check_offers(bot: int, top: int) -> None:
+    """The gap test on one cycle's ORed offers to a que: each of ``bot`` and
+    ``top`` must be one contiguous run of cells, because until's machines
+    close a span together. Raises HardFault naming the lowest uncovered
+    cell, top before bot; empty offers pass."""
+    if top & (top + (top & -top)) or bot & (bot + (bot & -bot)):
+        for mask, polarity in ((top, "top"), (bot, "bot")):
+            carry = mask + (mask & -mask)  # clears the lowest run of cells
+            if mask & carry:
+                gap = (carry & -carry).bit_length() - 1
+                raise HardFault(f"{polarity} offers leave cell {gap} uncovered")
+
+
 def que_step(
     que: tuple[int, int, int], bot: int, top: int, head: int
 ) -> tuple[tuple[int, int, int], Optional[bool]]:
@@ -84,52 +97,42 @@ def que_step(
     fabric; returns the new que and the value deleted at ``head`` (None in
     warm-up).
 
-    A que is three ints, (occupancy, known, value), with bit k standing for
-    cell k and cell 0 the newest; a known cell holds its value bit, an
-    unknown one is Maybe. ``bot`` and ``top`` are the ORed false and true
-    offers of the que's firing writers as masks. Each must be one contiguous
-    run of cells, because until's machines close a span together; a gap is
-    a hard fault. Then: add shifts every cell up one and makes cell 0 an
-    unknown cell; an unknown live cell in both ``top`` and ``bot`` is a
-    hard fault, since writers disagree on it; modify settles the other
-    unknown live cells of ``top`` true and of ``bot`` false, leaving the
-    rest as they are; delete removes cell ``head`` once it exists, and
-    deleting an unknown cell is a hard fault (a misprogrammed head). Every
-    reachable que enters with at most ``head`` cells, so the deleted cell
-    is the oldest and the que keeps ``head`` cells.
+    A que is three ints, (occupancy, unknown, value), with bit k standing
+    for cell k and cell 0 the newest; ``unknown`` holds the live cells that
+    are still Maybe, and a settled cell holds its value bit. ``bot`` and
+    ``top`` are the ORed false and true offers of the que's firing writers
+    as masks, already through ``check_offers``. Add shifts every cell up one
+    and makes cell 0 unknown; an unknown cell in both ``top`` and ``bot`` is
+    a hard fault, since writers disagree on it; modify settles the other
+    unknown cells of ``top`` true and of ``bot`` false, leaving the rest as
+    they are; delete removes cell ``head`` once it exists, and deleting an
+    unknown cell is a hard fault (a misprogrammed head). Every reachable que
+    enters with at most ``head`` cells, so the deleted cell is the oldest
+    and the que keeps ``head`` cells.
     """
-    if top & (top + (top & -top)) or bot & (bot + (bot & -bot)):
-        for mask, polarity in ((top, "top"), (bot, "bot")):
-            carry = mask + (mask & -mask)  # clears the lowest run of cells
-            if mask & carry:
-                gap = (carry & -carry).bit_length() - 1
-                raise HardFault(f"{polarity} offers leave cell {gap} uncovered")
-    occ, known, value = que
+    occ, unknown, value = que
     occ += 1
-    live = (1 << occ) - 1
-    known <<= 1
-    if top & bot:
-        clash = top & bot & live & ~known
-        if clash:
-            k = (clash & -clash).bit_length() - 1
-            raise HardFault(f"top and bot offers both settle cell {k}")
-    new = top & live & ~known
-    value = value << 1 | new
-    known |= new | bot & live
+    unknown = unknown << 1 | 1
+    clash = top & bot & unknown
+    if clash:
+        raise HardFault(f"top and bot offers both settle cell {(clash & -clash).bit_length() - 1}")
+    value = value << 1 | top & unknown
+    unknown &= ~(top | bot)
     if occ <= head:
-        return (occ, known, value), None
+        return (occ, unknown, value), None
     cell = 1 << head
-    if not known & cell:
+    if unknown & cell:
         raise HardFault(f"deleted unresolved cell at head {head}: misprogrammed head")
-    return (head, known ^ cell, value & ~cell), bool(value & cell)
+    return (head, unknown, value & ~cell), bool(value & cell)
 
 
 @dataclass(frozen=True)
 class QueState:
-    """A golden-model que: the ``que_step`` triple plus its capacity."""
+    """A golden-model que: the ``que_step`` triple (occupancy, unknown,
+    value) plus its capacity; ``unknown`` marks the cells still Maybe."""
 
     occupancy: int
-    known: int
+    unknown: int
     value: int
     capacity: int
 
@@ -137,7 +140,7 @@ class QueState:
     def cells(self) -> tuple:
         """The cells as True/False/MAYBE, cell 0 (the tail) first."""
         return tuple(
-            bool(self.value >> k & 1) if self.known >> k & 1 else MAYBE
+            MAYBE if self.unknown >> k & 1 else bool(self.value >> k & 1)
             for k in range(self.occupancy)
         )
 
@@ -169,11 +172,18 @@ class AmProgram:
 
 @dataclass(frozen=True)
 class EvaluatorMachine:
-    """1-3 abstract machines sharing one que, realizing one MTL operator."""
+    """1-3 abstract machines sharing one que, realizing one MTL operator.
+    Its machines read operand streams numbered 0..arity-1, the order in
+    which ``em_step`` takes their values; other numbers raise ValueError."""
 
     kind: str
     ams: tuple[AmProgram, ...]
     head: int
+
+    def __post_init__(self):
+        streams = sorted({s for am in self.ams for s in (am.op0, am.op1) if s is not None})
+        if streams != list(range(len(streams))):
+            raise ValueError(f"{self.kind} reads streams {streams}, not 0..{len(streams) - 1}")
 
     @property
     def arity(self) -> int:  # the number of operand streams
@@ -289,7 +299,8 @@ def em_step_trace(
             offer[res] |= interval_mask(interval)
             fired.append((res, interval))
     after_add = (MAYBE,) + q.cells
-    que, verdict = que_step((q.occupancy, q.known, q.value), *offer, em.head)
+    check_offers(*offer)
+    que, verdict = que_step((q.occupancy, q.unknown, q.value), *offer, em.head)
     q = QueState(*que, q.capacity)
     after_del = q.cells
     after_modify = after_del if verdict is None else after_del + (verdict,)

@@ -196,6 +196,19 @@ def test_a_bad_event_value_leaves_the_fabric_running():
     assert stream_trace(fabric, pad([[1], [0], [1]], 8)) != []
 
 
+def test_an_event_value_reads_by_truth_like_make_trace():
+    # 1.0 equals 1, so it passes the value check; a fresh fabric must read it
+    # as 1 on its first event, whatever keys its ques have met before.
+    rng = random.Random(3)
+    bits = [[rng.randrange(2) for _ in range(SMALL.n_ap)] for _ in range(30)]
+    runs = []
+    for one, zero in ((1.0, 0.0), (1, 0), (True, False)):
+        fabric, _ = loaded_fabric("ap0 U[1,2] ap1", SMALL)
+        runs.append([fabric.step([one if b else zero for b in row]) for row in bits])
+    assert runs[0] == runs[1] == runs[2]
+    assert any(runs[0])
+
+
 @pytest.mark.parametrize("first, bad", [
     ([1, 0, 0], ["x", 1, 0]), ([0, 1, 0], [1, "x", 0]),
     ([1, 0, 0], [-1, 0, 0]), ([0, 1, 0], [2, 0, 0]),
@@ -346,6 +359,27 @@ def test_reprogram_behaves_like_fresh_fabric():
     replayed = stream_trace(fabric, tail)
     fresh, _ = run_program(second, tail)
     assert replayed == fresh
+
+
+def test_reprogram_reusing_que_ids_with_other_masks_is_fresh():
+    # B's ques have A's ids and read keys, but other writers and masks: no
+    # offer A's ques met may carry over.
+    rng = random.Random(21)
+    cfg = SMALL
+    a = compile_formula(F.parse("G[0,3] ap0 & F[1,2] ap1"), cfg)
+    b = compile_formula(F.parse("F[0,3] ap0 | G[1,2] ap1"), cfg)
+    writers = [{(pe.r_qid, pe.opcode, pe.top_interval, pe.bot_interval)
+                for pe in p.pes if pe.is_active} for p in (a, b)]
+    assert {w[0] for w in writers[0]} == {w[0] for w in writers[1]}
+    assert writers[0].isdisjoint(writers[1])
+    fabric = Fabric(cfg)
+    fabric.load(encode_program(a))
+    stream_trace(fabric, random_trace(rng, 40, cfg.n_ap))
+    fabric.begin_reprogram()
+    fabric.load(encode_program(b))
+    tail = random_trace(rng, 40, cfg.n_ap)
+    fresh, _ = run_program(b, tail)
+    assert stream_trace(fabric, tail) == fresh
 
 
 def test_verdicts_after_reprogram_match_brute_force():

@@ -17,6 +17,7 @@ from mtlmon.machine import (
     EvaluatorMachine,
     QueState,
     am_result,
+    check_offers,
     em_build,
     em_run,
     em_step,
@@ -43,16 +44,16 @@ T, B, M = True, False, MAYBE
 
 
 def q(*cells, capacity=8):
-    known = sum(1 << k for k, cell in enumerate(cells) if cell is not M)
+    unknown = sum(1 << k for k, cell in enumerate(cells) if cell is M)
     value = sum(1 << k for k, cell in enumerate(cells) if cell is T)
-    return QueState(len(cells), known, value, capacity)
+    return QueState(len(cells), unknown, value, capacity)
 
 
 def step(cells, bot=EMPTY_INTERVAL, top=EMPTY_INTERVAL, head=7):
     """One que_step from the given cells; the cells after it and the deleted value."""
     state = q(*cells)
     que, deleted = que_step(
-        (state.occupancy, state.known, state.value), interval_mask(bot), interval_mask(top), head
+        (state.occupancy, state.unknown, state.value), interval_mask(bot), interval_mask(top), head
     )
     return QueState(*que, state.capacity).cells, deleted
 
@@ -104,6 +105,19 @@ def test_modify_sequence_from_worked_until_step():
     # until[1,2], step 4: top settles cells 1-2 true, bottom cell 0 false
     assert step((M, M, B), bot=(0, 0), top=(1, 2)) == ((B, T, T, B), None)
     assert step((M, M, B), bot=(0, 0), top=(1, 2), head=3) == ((B, T, T), B)
+
+
+def test_check_offers_names_the_lowest_gap_top_first():
+    with pytest.raises(HardFault, match="^top offers leave cell 1 uncovered$"):
+        check_offers(0, 0b101)
+    with pytest.raises(HardFault, match="^bot offers leave cell 2 uncovered$"):
+        check_offers(0b11011, 0)
+    with pytest.raises(HardFault, match="^bot offers leave cell 1 uncovered$"):
+        check_offers(0b1001101, 0b111)  # the lowest of two gaps
+    with pytest.raises(HardFault, match="^top offers leave cell 3 uncovered$"):
+        check_offers(0b101, 0b10111)  # top is tested before bot
+    for bot, top in ((0, 0), (0b1, 0), (0, 0b1110), (0b111000, 0b111), (0b1110, 0b1110)):
+        assert check_offers(bot, top) is None
 
 
 # -- abstract machine result ---------------------------------------------------
@@ -473,6 +487,18 @@ def group_outcomes(ams, head, events):
     except HardFault as fault:
         fabric_out.append(str(fault).removeprefix("Q0 "))
     return golden, fabric_out
+
+
+def test_an_evaluator_machine_reads_streams_numbered_from_zero():
+    wire1 = AmProgram("wire", 1, None, (0, 0), (0, 0))
+    with pytest.raises(ValueError, match=r"reads streams \[1\], not 0..0"):
+        EvaluatorMachine("x", (wire1,), 1)
+    with pytest.raises(ValueError, match=r"reads streams \[0, 2\], not 0..1"):
+        EvaluatorMachine("x", (AmProgram("and", 0, 2, (0, 0), (0, 0)),), 1)
+    one = EvaluatorMachine("x", (dataclasses.replace(wire1, op0=0),), 1)
+    assert one.arity == 1 and em_step(one, empty_que(2), T)[1] is None
+    two = EvaluatorMachine("x", (AmProgram("and", 1, 0, (0, 0), (0, 0)), wire1), 1)
+    assert two.arity == 2 and em_step(two, empty_que(2), T, B)[1] is None
 
 
 def test_writers_offering_one_cell_both_values_fault_and_equal_offers_merge():
