@@ -7,10 +7,11 @@ interval. An evaluator machine (EM) is 1-3 such machines sharing one que;
 it realizes exactly one MTL operator, and the values deleted at the que head
 form its verdict stream.
 
-Shared-que stepping: the machines' offers are ORed per polarity and the
-que takes one ``que_step``, the que-update rule the fabric runs too, so the
-order of the machines does not matter. Overlapping offers of one polarity
-are harmless; a cell offered both true and false is a hard fault.
+Shared-que stepping: the machines' offers are ORed per polarity, pass
+``check_offers`` and the que takes one ``que_step``, the que-update rules
+the fabric runs too, so the order of the machines does not matter.
+Overlapping offers of one polarity are harmless; a cell offered both true
+and false is a hard fault.
 """
 
 from __future__ import annotations
