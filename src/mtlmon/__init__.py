@@ -11,7 +11,6 @@ from .errors import (
     IntervalError,
     ParseError,
     ProtocolError,
-    QueOverflowError,
     TraceError,
 )
 from .formula import (
@@ -43,10 +42,9 @@ __all__ = [
     "AP", "And", "AllocationError", "BitstreamError", "Box", "DEFAULT_CONFIG",
     "Diamond", "Fabric", "FabricConfig", "Formula", "HardFault", "Implies",
     "IntervalError", "MonitorProgram", "Next", "Not", "Or", "ParseError",
-    "PeConfig", "ProtocolError", "QConfig", "QueOverflowError", "RunReport",
-    "Trace", "TraceError", "TrueConst", "Until", "check_formula",
-    "compile_formula", "constant_fold", "decode_file", "decode_program",
-    "encode_file", "encode_program", "make_trace", "oracle_verdicts", "parse",
-    "pretty", "read_trace", "run_fuzz", "satisfies", "semantic_future",
-    "write_trace",
+    "PeConfig", "ProtocolError", "QConfig", "RunReport", "Trace",
+    "TraceError", "TrueConst", "Until", "check_formula", "compile_formula",
+    "constant_fold", "decode_file", "decode_program", "encode_file",
+    "encode_program", "make_trace", "oracle_verdicts", "parse", "pretty",
+    "read_trace", "run_fuzz", "satisfies", "semantic_future", "write_trace",
 ]

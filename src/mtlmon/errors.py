@@ -32,11 +32,6 @@ class BitstreamError(ValueError):
     field overflow)."""
 
 
-class QueOverflowError(RuntimeError):
-    """A que add would exceed capacity; indicates a compiler bug, since
-    allocation must bound every head below the que size."""
-
-
 class HardFault(RuntimeError):
     """An impossible-by-construction condition occurred at runtime: a que
     deleted an unresolved cell at its head, one cycle's offers of one

@@ -24,8 +24,10 @@ interconnect phases:
    offered true and false, modify, delete at its head). The deleted
    value is latched onto the que->PE crossbar for the next cycle, except the
    verdict que's value, which leaves through the output port immediately.
-   The ques commit only after all have updated, so a cycle that raises
-   leaves every que as it was.
+   Each que updates in place as it steps. A que whose step faults keeps
+   its state, since ``que_step`` raised first; ques that stepped earlier
+   in that cycle are never read, because the fault stops the fabric and
+   the next latch clears every que.
 
 The verdict leaving at running cycle c (0-based since the program latched)
 is the formula verdict for time c - latency + 1; warm-up cycles produce no
@@ -147,7 +149,8 @@ class Fabric:
         one vector a cycle: the event's AP values, then the last cycle's
         deliveries of the driven ques in plan order, then a slot that is
         always None, which is what a port routed from any other que reads.
-        No port reads the verdict que's slot; ``step`` emits its value.
+        No port reads the verdict que's slot (``resolve_operands`` never
+        sources one from it); ``step`` emits its value.
         ``key`` is an itemgetter over the vector slots the que's writers
         read, and ``memo`` maps each key met so far to the que's offer (see
         ``_offer``). A writer is its truth table from ``_TABLES``, indexed
@@ -160,6 +163,9 @@ class Fabric:
         n_ap = cfg.n_ap
         pes, qs = program.pes, program.qs
         sources = resolve_operands(pes, qs)
+        driven = sorted({pe.r_qid for pe in pes if pe.is_active})
+        none_slot = n_ap + len(driven)
+        slot_of = {qid: n_ap + pos for pos, qid in enumerate(driven)}
         writers: dict[int, list] = {}
         for pid, pe in enumerate(pes):
             if not pe.is_active:
@@ -173,16 +179,13 @@ class Fabric:
                     raise AllocationError(f"PE{pid} {name} interval {iv} exceeds que size")
             ports = []
             for slot in range(OPCODE_ARITY[pe.opcode]):
-                from_que = slot_from_que(pe, slot)
-                if from_que:
-                    src = sources[(pid, slot)]
-                else:
-                    src = program.routes[pid][slot]
-                    if src >= n_ap:
-                        raise AllocationError(
-                            f"PE{pid} operand {slot} reads ap{src}, n_ap={n_ap}"
-                        )
-                ports.append((from_que, src))
+                if slot_from_que(pe, slot):
+                    ports.append(slot_of.get(sources[(pid, slot)], none_slot))
+                    continue
+                ap = program.routes[pid][slot]
+                if ap >= n_ap:
+                    raise AllocationError(f"PE{pid} operand {slot} reads ap{ap}, n_ap={n_ap}")
+                ports.append(ap)
             masks = (interval_mask(pe.bot_interval), interval_mask(pe.top_interval))
             writer = (_TABLES[pe.opcode], ports[0], ports[-1], masks)
             writers.setdefault(pe.r_qid, []).append(writer)
@@ -206,23 +209,11 @@ class Fabric:
                 )
         self.latency = derive_latency(pes, qs, sources)
         self.program = program
-        driven = sorted(writers)
-        none_slot = n_ap + len(driven)
-        self._verdict = len(driven)  # the plan position of the verdict que
-        slot_of = {}
-        for pos, qid in enumerate(driven):
-            if qs[qid].is_verdict:
-                self._verdict = pos
-            else:
-                slot_of[qid] = n_ap + pos
-
-        def slot(port):
-            from_que, src = port
-            return slot_of.get(src, none_slot) if from_que else src
-
+        self._verdict = next(
+            (pos for pos, qid in enumerate(driven) if qs[qid].is_verdict), len(driven)
+        )
         self._plan = []
-        for qid in driven:
-            ws = [(table, slot(p0), slot(p1), masks) for table, p0, p1, masks in writers[qid]]
+        for qid, ws in sorted(writers.items()):
             read = sorted({i for _, i0, i1, _ in ws for i in (i0, i1)})
             self._plan.append((qid, qs[qid].head, itemgetter(*read), {}, ws))
         self._ques = [(0, 0, 0)] * cfg.n_q
@@ -235,7 +226,8 @@ class Fabric:
     def step(self, ap_values: Sequence[bool]) -> Optional[tuple[int, bool]]:
         """Run one monitor cycle on one event of n_ap values, each 0 or 1;
         returns (time, verdict) once the pipeline is warm, None during
-        warm-up. An event that raises moves no que."""
+        warm-up. A bad event raises TraceError before any que moves; a
+        HardFault stops the fabric until ``begin_reprogram``."""
         if self.mode != "running":
             raise ProtocolError(f"fabric is in {self.mode} mode")
         cfg = self.config
@@ -247,7 +239,6 @@ class Fabric:
         reads = [*ap_values, *self._delivered]
         ques = self._ques
         delivered: list = []
-        updates = []
         try:
             for qid, head, key, memo, writers in self._plan:
                 k = key(reads)
@@ -259,15 +250,12 @@ class Fabric:
                     delivered.append(None)
                     continue
                 bot, top = offer
-                que, bit = que_step(ques[qid], bot, top, head)
-                updates.append((qid, que))
+                ques[qid], bit = que_step(ques[qid], bot, top, head)
                 delivered.append(bit)
         except HardFault as fault:
             self.mode = "faulted"  # until begin_reprogram
             raise HardFault(f"Q{qid} {fault}") from None
 
-        for qid, que in updates:
-            ques[qid] = que
         delivered.append(None)
         out = delivered[self._verdict]
         self._delivered = delivered

@@ -1,15 +1,18 @@
 """Golden model of the programmable evaluator machines.
 
-A que is a bounded buffer over {True, False, Maybe}; cell 0 is the tail
-(most recently added). Each step an abstract machine computes a five-opcode
-boolean result and conditionally overwrites Maybe cells inside a programmed
-interval. An evaluator machine (EM) is 1-3 such machines sharing one que;
-it realizes exactly one MTL operator, and the values deleted at the que head
-form its verdict stream.
+A que is a buffer over {True, False, Maybe}; cell 0 is the tail (most
+recently added). Its head bounds it: once it holds ``head`` cells, each
+step deletes one as it adds one, so no que needs a capacity check. Each
+step an abstract machine computes a five-opcode boolean result and
+conditionally overwrites Maybe cells inside a programmed interval. An
+evaluator machine (EM) is 1-3 such machines sharing one que; it realizes
+exactly one MTL operator, and the values deleted at the que head form its
+verdict stream.
 
 Shared-que stepping: the machines' offers are ORed per polarity, pass
-``check_offers`` and the que takes one ``que_step``, the que-update rules
-the fabric runs too, so the order of the machines does not matter.
+``check_offers`` and the que takes one ``que_step``. That is the only
+que-update rule: the fabric runs it too, so the order of the machines does
+not matter.
 Overlapping offers of one polarity are harmless; a cell offered both true
 and false is a hard fault.
 """
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import HardFault, QueOverflowError
+from .errors import HardFault
 
 
 class _MaybeType:
@@ -130,12 +133,13 @@ def que_step(
 @dataclass(frozen=True)
 class QueState:
     """A golden-model que: the ``que_step`` triple (occupancy, unknown,
-    value) plus its capacity; ``unknown`` marks the cells still Maybe."""
+    value); ``unknown`` marks the cells still Maybe. ``QueState()`` is the
+    empty que. It has no capacity of its own: ``que_step`` keeps every
+    que at most ``head`` cells long."""
 
-    occupancy: int
-    unknown: int
-    value: int
-    capacity: int
+    occupancy: int = 0
+    unknown: int = 0
+    value: int = 0
 
     @property
     def cells(self) -> tuple:
@@ -144,10 +148,6 @@ class QueState:
             MAYBE if self.unknown >> k & 1 else bool(self.value >> k & 1)
             for k in range(self.occupancy)
         )
-
-
-def empty_que(capacity: int) -> QueState:
-    return QueState(0, 0, 0, capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +281,6 @@ def em_step_trace(
         raise ValueError(f"{em.kind} needs two operand values")
     if em.arity == 1 and op1 is not None:
         raise ValueError(f"{em.kind} takes one operand value")
-    if q.occupancy >= q.capacity:
-        raise QueOverflowError(
-            f"que of capacity {q.capacity} is full; the formula needs a deeper que"
-        )
     assert q.occupancy <= em.head, "occupancy exceeded head"
     operands = (op0, op1)
     results = []
@@ -302,7 +298,7 @@ def em_step_trace(
     after_add = (MAYBE,) + q.cells
     check_offers(*offer)
     que, verdict = que_step((q.occupancy, q.unknown, q.value), *offer, em.head)
-    q = QueState(*que, q.capacity)
+    q = QueState(*que)
     after_del = q.cells
     after_modify = after_del if verdict is None else after_del + (verdict,)
     return q, StepTrace(tuple(results), after_add, tuple(fired), after_modify, after_del, verdict)
@@ -327,7 +323,7 @@ def em_run(
             raise ValueError("need two operand streams of equal length")
     elif stream1 is not None:
         raise ValueError(f"{em.kind} takes one operand stream")
-    q = empty_que(em.head + 1)
+    q = QueState()
     verdicts = []
     for i, a in enumerate(stream0):
         q, verdict = em_step(em, q, a, stream1[i] if em.arity == 2 else None)

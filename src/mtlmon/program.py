@@ -213,29 +213,26 @@ def derive_latency(
             for slot in range(OPCODE_ARITY[pe.opcode]):
                 if slot_from_que(pe, slot) and (pid, slot) in sources:
                     feeds.setdefault(pe.r_qid, []).append(sources[(pid, slot)])
-    for qid, q in enumerate(qs):
-        if q.is_active and q.is_verdict:
-            return _height(qid, qs, feeds, {}, set())
-    return 0
-
-
-def _height(
-    qid: int, qs: tuple[QConfig, ...], feeds: dict[int, list[int]],
-    heights: dict[int, int], visiting: set[int],
-) -> int:
-    """height(q) = head + 1 + the tallest que in feeds[q], memoized.
-
-    A module-level function, not a closure: a closure that calls itself is
-    a reference cycle, left for the garbage collector on every call.
-    """
-    if qid not in heights:
-        if qid in visiting:
+    root = next((qid for qid, q in enumerate(qs) if q.is_active and q.is_verdict), None)
+    if root is None:
+        return 0
+    # Depth first from the verdict que on an explicit stack, so a long
+    # chain of ques needs no Python recursion. ``visiting`` holds the ques
+    # on the stack; meeting one again is a cycle.
+    heights: dict[int, int] = {}
+    visiting = {root}
+    stack = [(root, iter(feeds.get(root, ())))]
+    while stack:
+        qid, srcs = stack[-1]
+        src = next((s for s in srcs if s not in heights), None)
+        if src is None:
+            stack.pop()
+            visiting.discard(qid)
+            depth = max((heights[s] for s in feeds.get(qid, ())), default=0)
+            heights[qid] = qs[qid].head + 1 + depth
+        elif src in visiting:
             raise AllocationError("cyclic que routing")
-        visiting.add(qid)
-        depth = max(
-            (_height(src, qs, feeds, heights, visiting) for src in feeds.get(qid, ())),
-            default=0,
-        )
-        visiting.discard(qid)
-        heights[qid] = qs[qid].head + 1 + depth
-    return heights[qid]
+        else:
+            visiting.add(src)
+            stack.append((src, iter(feeds.get(src, ()))))
+    return heights[root]

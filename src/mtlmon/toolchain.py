@@ -196,17 +196,15 @@ def random_fitting_formula(
     """Draw formulas until one fits the fabric (PE/Q/que-size limits).
 
     Redraws consume the generator stream, so a fixed seed still yields a
-    fixed sequence of accepted formulas.
+    fixed sequence of accepted formulas. The leaves are APs, so a draw
+    never folds to a constant and always compiles to a program.
     """
     for _ in range(1000):
         f = random_formula(rng, max_depth, max_t2)
         try:
-            compiled = compile_formula(f, config)
+            return f, compile_formula(f, config)
         except AllocationError:
             continue
-        if isinstance(compiled, bool):  # cannot happen with AP leaves
-            continue
-        return f, compiled
     raise AllocationError(
         f"no formula of depth {max_depth} fits the fabric after 1000 draws"
     )

@@ -7,7 +7,7 @@ from mtlmon import formula as F
 from mtlmon.bitstream import encode_program
 from mtlmon.compiler import compile_formula
 from mtlmon.errors import AllocationError
-from mtlmon.program import FabricConfig
+from mtlmon.program import FabricConfig, MonitorProgram, PeConfig, QConfig
 
 MAX_T2 = 6
 
@@ -154,3 +154,14 @@ def two_faults_body() -> bytes:
     pes = (dataclasses.replace(p0, r_qid=p1.r_qid), dataclasses.replace(p1, r_qid=p0.r_qid))
     return encode_program(dataclasses.replace(
         program, pes=pes + program.pes[2:], qs=(q1, q0) + program.qs[2:]))
+
+
+def wire_chain_program(stages: int) -> MonitorProgram:
+    """ap0 through ``stages`` chained wire stages on
+    FabricConfig(stages, stages, 1, 4): PE i writes Q i, each que has head 1
+    and feeds PE i+1, and the last que is the verdict. Each stage delays ap0
+    by two cycles, so the latency is 2 * stages and the verdict is ap0."""
+    cfg = FabricConfig(stages, stages, 1, 4)
+    pes = tuple(PeConfig(True, i > 0, False, "wire", i, (0, 0), (0, 0)) for i in range(stages))
+    qs = tuple(QConfig(True, i == stages - 1, (i + 1) % stages, 0, 1) for i in range(stages))
+    return MonitorProgram(cfg, pes, qs, ((0, 0),) * stages, 2 * stages)

@@ -11,7 +11,7 @@ from mtlmon import formula as F
 from mtlmon.bitstream import encode_program
 from mtlmon.compiler import allocate, bfs_order, compile_formula, plan
 from mtlmon.fabric import Fabric
-from mtlmon.machine import MAYBE, em_build, em_step_trace, empty_que
+from mtlmon.machine import MAYBE, QueState, em_build, em_step_trace
 from mtlmon.oracle import oracle_verdicts
 from mtlmon.program import FabricConfig, PeConfig, QConfig, ceil_log2
 from mtlmon.toolchain import (
@@ -45,7 +45,7 @@ def criterion(number, description):
 def test_criterion_1_negation_golden_table():
     with criterion(1, "negation machine reproduces the worked table"):
         em = em_build("not", 1)
-        state = empty_que(2)
+        state = QueState()
         expected = [
             # after_add, fired, after_modify, after_del, verdict
             ((M,), ((B, (0, 0)),), (B,), (B,), None),
@@ -62,7 +62,7 @@ def test_criterion_1_negation_golden_table():
 def test_criterion_2_until_golden_table():
     with criterion(2, "until[1,2] machine reproduces the worked table"):
         em = em_build("until", 3, (1, 2))
-        state = empty_que(4)
+        state = QueState()
         inputs = [(B, B), (T, B), (T, B), (B, T), (T, T)]
         expected = [
             ((B, B, B), (M,), ((B, (0, 0)), (B, (2, 2)), (B, (1, 1))), (B,), (B,), None),

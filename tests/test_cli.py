@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     HOSTILE_CFG, faulting_body, gap_body, second_verdict_body, stray_writer_body,
+    wire_chain_program,
 )
 from mtlmon import formula as F
 from mtlmon.bitstream import HEADER_LEN, encode_file
@@ -119,6 +120,16 @@ def test_run_until_worked_example(tmp_path):
     code, out, _ = run_cli("run", "--prog", str(prog), "--trace", trace)
     assert code == EXIT_OK
     assert out.splitlines() == ["0,0", "1,1"]
+
+
+def test_run_a_long_que_chain(tmp_path):
+    prog = tmp_path / "chain.bit"
+    prog.write_bytes(encode_file(wire_chain_program(1000)))
+    trace = write_trace_file(tmp_path / "t.csv", 1, [[int(t % 3 == 0)] for t in range(2003)])
+    code, out, err = run_cli("run", "--prog", str(prog), "--trace", trace)
+    assert code == EXIT_OK
+    assert out.splitlines() == ["0,1", "1,0", "2,0", "3,1"]
+    assert "latency: 2000" in err
 
 
 def test_run_empty_trace(tmp_path):

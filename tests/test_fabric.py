@@ -11,9 +11,10 @@ from conftest import (
     second_verdict_body,
     stray_writer_body,
     two_faults_body,
+    wire_chain_program,
 )
 from mtlmon import formula as F
-from mtlmon.bitstream import encode_program
+from mtlmon.bitstream import decode_program, encode_program
 from mtlmon.compiler import allocate, compile_formula, plan
 from mtlmon.errors import AllocationError, BitstreamError, HardFault, ProtocolError, TraceError
 from mtlmon.fabric import Fabric
@@ -249,6 +250,44 @@ def test_a_fault_stops_the_fabric_until_it_is_reprogrammed():
     fabric.load(gap_body())
     assert [fabric.step(e) for e in events] == expected
     assert expected == [None] * 5 + [(0, True), (1, True)]
+
+
+@pytest.mark.parametrize("text", ["G[0,4] ap0 & G[0,4] ap1", "!ap1"])
+def test_a_fault_after_a_lower_que_stepped_leaves_nothing_behind(text):
+    # Q1 (G[0,4] ap0) with head 0 deletes an unresolved cell on the first
+    # event with ap0 set; Q0 (G[0,4] ap1) has stepped in that cycle. After
+    # a reprogram, to the same formula or to one whose verdict que is Q0,
+    # nothing of that cycle may show.
+    broken = _tamper(compile_formula(F.parse("G[0,4] ap0 & G[0,4] ap1"), HOSTILE_CFG), 1, head=0)
+    program = compile_formula(F.parse(text), HOSTILE_CFG)
+    rng = random.Random(4)
+    events = [[1, int(rng.random() < 0.8), 0] for _ in range(40)]
+    fresh, _ = run_program(program, make_trace(events))
+    assert {v for _, v in fresh} == {False, True}
+    fabric = Fabric(HOSTILE_CFG)
+    fabric.load(encode_program(broken))
+    assert fabric.step([0, 1, 0]) is None
+    with pytest.raises(HardFault, match="^Q1 deleted unresolved cell at head 0"):
+        fabric.step([1, 1, 0])
+    assert fabric.mode == "faulted"
+    fabric.begin_reprogram()
+    fabric.load(encode_program(program))
+    assert [v for v in (fabric.step(e) for e in events) if v is not None] == fresh
+
+
+def test_a_long_que_chain_decodes_loads_and_delays_its_ap():
+    # 1,000 chained wire stages: deriving the latency walks the chain
+    # without recursing once per que.
+    program = wire_chain_program(1000)
+    body = encode_program(program)
+    assert decode_program(body, program.config).latency == 2000
+    fabric = Fabric(program.config)
+    fabric.load(body)
+    assert fabric.latency == 2000
+    rng = random.Random(11)
+    events = [[rng.randrange(2)] for _ in range(2010)]
+    got = [v for v in (fabric.step(e) for e in events) if v is not None]
+    assert got == [(t, bool(events[t][0])) for t in range(11)]
 
 
 def test_adjacent_offers_merge():

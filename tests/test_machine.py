@@ -7,7 +7,7 @@ import pytest
 from mtlmon import formula as F
 from mtlmon.bitstream import encode_program
 from mtlmon.compiler import compile_formula
-from mtlmon.errors import HardFault, QueOverflowError
+from mtlmon.errors import HardFault
 from mtlmon.fabric import Fabric
 from mtlmon.machine import (
     EMPTY_INTERVAL,
@@ -22,7 +22,6 @@ from mtlmon.machine import (
     em_run,
     em_step,
     em_step_trace,
-    empty_que,
     interval_mask,
     is_empty,
     min_head,
@@ -43,10 +42,10 @@ from mtlmon.trace import make_trace
 T, B, M = True, False, MAYBE
 
 
-def q(*cells, capacity=8):
+def q(*cells):
     unknown = sum(1 << k for k, cell in enumerate(cells) if cell is M)
     value = sum(1 << k for k, cell in enumerate(cells) if cell is T)
-    return QueState(len(cells), unknown, value, capacity)
+    return QueState(len(cells), unknown, value)
 
 
 def step(cells, bot=EMPTY_INTERVAL, top=EMPTY_INTERVAL, head=7):
@@ -55,7 +54,7 @@ def step(cells, bot=EMPTY_INTERVAL, top=EMPTY_INTERVAL, head=7):
     que, deleted = que_step(
         (state.occupancy, state.unknown, state.value), interval_mask(bot), interval_mask(top), head
     )
-    return QueState(*que, state.capacity).cells, deleted
+    return QueState(*que).cells, deleted
 
 
 # -- que primitives ----------------------------------------------------------
@@ -64,11 +63,6 @@ def test_add_shifts_and_inserts_maybe():
     assert step((B,)) == ((M, B), None)
     assert step(()) == ((M,), None)
     assert step((M, M, B)) == ((M, M, M, B), None)
-
-
-def test_add_overflow():
-    with pytest.raises(QueOverflowError):
-        em_step(em_build("wire", 1), q(T, B, capacity=2), T)
 
 
 def test_del_returns_head_cell():
@@ -226,7 +220,7 @@ def test_build_rejects_small_head_and_bad_interval():
 
 def test_negation_step_by_step():
     em = em_build("not", 1)
-    state = empty_que(2)
+    state = QueState()
 
     state, tr = em_step_trace(em, state, T)
     assert tr.results == (B,)
@@ -252,7 +246,7 @@ def test_negation_step_by_step():
 
 def test_until_step_by_step():
     em = em_build("until", 3, (1, 2))
-    state = empty_que(4)
+    state = QueState()
     inputs = [(B, B), (T, B), (T, B), (B, T), (T, T)]
     expectations = [
         # results, after_add, fired, after_modify, after_del, verdict
@@ -277,7 +271,7 @@ def test_until_step_by_step():
 def test_conjunction_single_step():
     # hand-stepped: add -> [M, T]; and(T,T)=T resolves cell 0; del at 1 pops T
     em = em_build("and", 1)
-    state, verdict = em_step(em, q(T, capacity=2), T, T)
+    state, verdict = em_step(em, q(T), T, T)
     assert state.cells == (T,) and verdict is T
     # cross-check against the two-step trace via the brute-force evaluation
     f = F.And(F.AP(0), F.AP(1))
@@ -309,7 +303,7 @@ def test_run_wire_is_delay():
 def _fired_for(kind, interval, head, a0, a1=None, prefill=6):
     """Drive some warm-up steps, then record what the probe step modifies."""
     em = em_build(kind, head, interval)
-    state = empty_que(head + 1)
+    state = QueState()
     rng = random.Random(9)
     for _ in range(prefill):
         ops = [rng.random() < 0.5 for _ in range(em.arity)]
@@ -394,7 +388,7 @@ def test_stable_cell_equals_brute_force(kind, interval, f):
         tr = make_trace(rows)
         reference = oracle_verdicts(f, tr)
         em = em_build(kind, head, interval)
-        state = empty_que(head + 1)
+        state = QueState()
         for i, row in enumerate(rows):
             ops = row[: em.arity]
             state, _ = em_step(em, state, *ops)
@@ -411,7 +405,7 @@ def test_verdicts_never_change_once_given(kind, interval, f):
     head = latency + 3
     em = em_build(kind, head, interval)
     rng = random.Random(0xBEEF)
-    state = empty_que(head + 1)
+    state = QueState()
     history = []
     for _ in range(40):
         ops = [rng.random() < 0.5 for _ in range(em.arity)]
@@ -440,13 +434,13 @@ def test_golden_model_and_fabric_hold_the_same_cells(kind, interval, f):
     fabric = Fabric(cfg)
     fabric.load(encode_program(program))
     em = em_build(kind, program.qs[root].head, interval)
-    state = empty_que(cfg.q_sz)
+    state = QueState()
     rng = random.Random(9)
     for cycle in range(40):
         event = [rng.random() < 0.5 for _ in range(cfg.n_ap)]
         out = fabric.step(event)
         state, tr = em_step_trace(em, state, *event[: em.arity])
-        assert QueState(*fabric._ques[root], cfg.q_sz).cells == tr.after_del, cycle
+        assert QueState(*fabric._ques[root]).cells == tr.after_del, cycle
         assert tr.verdict == (None if out is None else out[1]), cycle
 
 
@@ -473,7 +467,7 @@ def group_outcomes(ams, head, events):
     any (the fabric's without its que prefix)."""
     em = EvaluatorMachine("group", tuple(ams), head)
     fabric = group_fabric(ams, head)
-    state, golden, fabric_out = empty_que(head + 1), [], []
+    state, golden, fabric_out = QueState(), [], []
     try:
         for event in events:
             state, verdict = em_step(em, state, *event[: em.arity])
@@ -496,9 +490,9 @@ def test_an_evaluator_machine_reads_streams_numbered_from_zero():
     with pytest.raises(ValueError, match=r"reads streams \[0, 2\], not 0..1"):
         EvaluatorMachine("x", (AmProgram("and", 0, 2, (0, 0), (0, 0)),), 1)
     one = EvaluatorMachine("x", (dataclasses.replace(wire1, op0=0),), 1)
-    assert one.arity == 1 and em_step(one, empty_que(2), T)[1] is None
+    assert one.arity == 1 and em_step(one, QueState(), T)[1] is None
     two = EvaluatorMachine("x", (AmProgram("and", 1, 0, (0, 0), (0, 0)), wire1), 1)
-    assert two.arity == 2 and em_step(two, empty_que(2), T, B)[1] is None
+    assert two.arity == 2 and em_step(two, QueState(), T, B)[1] is None
 
 
 def test_writers_offering_one_cell_both_values_fault_and_equal_offers_merge():
@@ -508,7 +502,7 @@ def test_writers_offering_one_cell_both_values_fault_and_equal_offers_merge():
     disagree = (AmProgram("wire", 0, None, (0, 0), (0, 0)),
                 AmProgram("not", 0, None, (0, 0), (0, 0)))
     with pytest.raises(HardFault, match="^top and bot offers both settle cell 0$"):
-        em_step(EvaluatorMachine("rogue", disagree, 1), empty_que(2), T)
+        em_step(EvaluatorMachine("rogue", disagree, 1), QueState(), T)
     with pytest.raises(HardFault, match="^Q0 top and bot offers both settle cell 0$"):
         group_fabric(disagree, 1).step(events[0])
     agree = (AmProgram("wire", 0, None, (0, 0), (0, 0)),) * 2
@@ -546,7 +540,7 @@ def test_golden_model_and_fabric_agree_on_random_writer_groups():
 
 def test_occupancy_never_exceeds_head_plus_one():
     em = em_build("diamond", 6, (1, 4))
-    state = empty_que(7)
+    state = QueState()
     rng = random.Random(3)
     for _ in range(50):
         state, _ = em_step(em, state, rng.random() < 0.5)
