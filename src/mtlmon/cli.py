@@ -7,7 +7,8 @@ Subcommands:
   fuzz      randomized equivalence run, incl. mid-run reprogramming
 
 Exit codes: 0 ok, 2 formula parse error or bad flag, 3 allocation/fit error, 4
-I/O or file-format error, 5 verdict mismatch, 6 hard fault (a bitstream faulted).
+I/O or file-format error, 5 verdict mismatch (fuzz: an iteration failed), 6 hard
+fault (a bitstream faulted; fuzz: an iteration faulted).
 """
 
 from __future__ import annotations
@@ -135,6 +136,8 @@ def cmd_fuzz(args) -> int:
         trace_len=args.trace_len,
     )
     print(summary.render())
+    if summary.hard_faults:
+        return EXIT_FAULT
     return EXIT_OK if summary.ok else EXIT_MISMATCH
 
 

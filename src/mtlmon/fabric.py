@@ -156,8 +156,7 @@ class Fabric:
         ``_offer``). A writer is its truth table from ``_TABLES``, indexed
         by v0 + 2*v1; the vector slots of its two operand ports, a unary PE
         reading its one port twice and so using entries 0 and 3; and its
-        (bottom, top) interval masks, indexed by its result. Deriving the
-        latency also rejects cyclic que routing.
+        (bottom, top) interval masks, indexed by its result.
         """
         cfg = self.config
         n_ap = cfg.n_ap

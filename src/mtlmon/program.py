@@ -203,36 +203,30 @@ def derive_latency(
     height(q) = head + 1 + the tallest que feeding any PE that writes q
     (0 when all writers read APs). This is what a freshly decoded program
     reports, and the fabric's own warm-up realizes it exactly.
+
+    The ques that reach the verdict que form a tree. A que names one reader
+    port, and ``resolve_operands`` feeds a tap only from the que of a port
+    in the tap's own writer group, so every que feeds the writers of one
+    que at most; the verdict que feeds none. A cycle of ques therefore
+    never reaches the verdict que, and a walk down from it meets each que
+    once. The walk carries each que's depth, the cycles from its writers
+    to the verdict output; the latency is the largest.
     """
     if sources is None:
         sources = resolve_operands(pes, qs)
     # feeds[q]: the ques read by the PEs that write q.
-    feeds: dict[int, list[int]] = {}
+    feeds: dict[int, set[int]] = {}
     for pid, pe in enumerate(pes):
         if pe.is_active:
             for slot in range(OPCODE_ARITY[pe.opcode]):
-                if slot_from_que(pe, slot) and (pid, slot) in sources:
-                    feeds.setdefault(pe.r_qid, []).append(sources[(pid, slot)])
+                if slot_from_que(pe, slot):
+                    feeds.setdefault(pe.r_qid, set()).add(sources[(pid, slot)])
     root = next((qid for qid, q in enumerate(qs) if q.is_active and q.is_verdict), None)
-    if root is None:
-        return 0
-    # Depth first from the verdict que on an explicit stack, so a long
-    # chain of ques needs no Python recursion. ``visiting`` holds the ques
-    # on the stack; meeting one again is a cycle.
-    heights: dict[int, int] = {}
-    visiting = {root}
-    stack = [(root, iter(feeds.get(root, ())))]
-    while stack:
-        qid, srcs = stack[-1]
-        src = next((s for s in srcs if s not in heights), None)
-        if src is None:
-            stack.pop()
-            visiting.discard(qid)
-            depth = max((heights[s] for s in feeds.get(qid, ())), default=0)
-            heights[qid] = qs[qid].head + 1 + depth
-        elif src in visiting:
-            raise AllocationError("cyclic que routing")
-        else:
-            visiting.add(src)
-            stack.append((src, iter(feeds.get(src, ()))))
-    return heights[root]
+    latency = 0
+    todo = [] if root is None else [(root, 0)]
+    while todo:
+        qid, above = todo.pop()
+        depth = above + qs[qid].head + 1
+        latency = max(latency, depth)
+        todo.extend((src, depth) for src in feeds.get(qid, ()))
+    return latency

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from . import formula as F
 from .bitstream import encode_program
 from .compiler import compile_formula
-from .errors import AllocationError, TraceError
+from .errors import AllocationError, HardFault, TraceError
 from .fabric import Fabric
 from .oracle import oracle_verdicts
 from .program import FabricConfig, MonitorProgram
@@ -223,6 +223,7 @@ class FuzzSummary:
     failures: list[str] = field(default_factory=list)
     throughput_violations: int = 0
     reprogram_divergences: int = 0
+    hard_faults: int = 0
 
     @property
     def ok(self) -> bool:
@@ -235,6 +236,7 @@ class FuzzSummary:
             f"failures: {self.iterations - self.passes}",
             f"throughput violations: {self.throughput_violations}",
             f"reprogram divergences: {self.reprogram_divergences}",
+            f"hard faults: {self.hard_faults}",
         ]
         lines.extend(self.failures[:20])
         return "\n".join(lines)
@@ -242,6 +244,16 @@ class FuzzSummary:
 
 def _throughput_ok(verdicts: list[tuple[int, bool]], n_events: int, latency: int) -> bool:
     return [t for t, _ in verdicts] == list(expected_emission(n_events, latency))
+
+
+def _run(fabric: Fabric, program: MonitorProgram, trace: Trace) -> list[tuple[int, bool]] | str:
+    """Load the program and step the fabric over the trace: the verdicts, or
+    the HardFault that stopped it as "hard fault at event i: message"."""
+    fabric.load(encode_program(program))
+    try:
+        return stream_trace(fabric, trace)
+    except HardFault as fault:
+        return f"hard fault at event {fabric.run_cycle}: {fault}"
 
 
 def run_fuzz(
@@ -256,7 +268,9 @@ def run_fuzz(
 
     Every iteration also reprograms the fabric mid-run with a second
     formula and requires the post-reprogram behavior to be byte-identical
-    to a freshly programmed fabric.
+    to a freshly programmed fabric. A HardFault fails its iteration and
+    ends only that formula's run; the reprogram and the later iterations
+    go on.
     """
     rng = random.Random(seed)
     summary = FuzzSummary(iterations=count, passes=0)
@@ -269,11 +283,14 @@ def run_fuzz(
             name = f"iter {it}: {F.pretty(f)}"
             if reprogrammed:
                 fabric.begin_reprogram()
-            fabric.load(encode_program(program))
-            verdicts = stream_trace(fabric, trace)
-            if reprogrammed and verdicts != run_program(program, trace)[0]:
+            verdicts = _run(fabric, program, trace)
+            if reprogrammed and verdicts != _run(Fabric(config), program, trace):
                 summary.reprogram_divergences += 1
                 problems.append(f"{name}: reprogram differs from fresh fabric")
+            if isinstance(verdicts, str):
+                summary.hard_faults += 1
+                problems.append(f"{name}: {verdicts}")
+                continue
             mism = _diff_program(verdicts, oracle_verdicts(f, trace), trace_len, program.latency)
             if mism:
                 problems.append(f"{name}: first mismatch {mism[0]}")

@@ -14,7 +14,15 @@ from mtlmon.bitstream import (
 )
 from mtlmon.compiler import compile_formula
 from mtlmon.errors import AllocationError, BitstreamError
-from mtlmon.program import FabricConfig, ceil_log2, derive_latency
+from mtlmon.program import (
+    INACTIVE_PE,
+    INACTIVE_Q,
+    FabricConfig,
+    MonitorProgram,
+    QConfig,
+    ceil_log2,
+    derive_latency,
+)
 from mtlmon.toolchain import DEFAULT_CONFIG, random_formula
 
 
@@ -130,6 +138,21 @@ def test_decoded_latency_matches_compiler():
 def test_second_verdict_que_is_a_bitstream_error():
     with pytest.raises(BitstreamError, match="verdict que"):
         decode_program(second_verdict_body(), HOSTILE_CFG)
+
+
+_CFG2 = FabricConfig(2, 2, 1, 4)
+_VERDICT = QConfig(True, True, 0, 0, 1)
+
+
+@pytest.mark.parametrize("pes,qs,routes,message", [
+    ((INACTIVE_PE,), (INACTIVE_Q,) * 2, ((0, 0),) * 2, "record counts"),
+    ((INACTIVE_PE,) * 2, (INACTIVE_Q,) * 3, ((0, 0),) * 2, "record counts"),
+    ((INACTIVE_PE,) * 2, (INACTIVE_Q,) * 2, ((0, 0),), "one route pair per PE"),
+    ((INACTIVE_PE,) * 2, (_VERDICT,) * 2, ((0, 0),) * 2, "at most one verdict que"),
+])
+def test_a_malformed_program_is_rejected_when_built(pes, qs, routes, message):
+    with pytest.raises(ValueError, match=message):
+        MonitorProgram(_CFG2, pes, qs, routes, 0)
 
 
 def test_derive_latency_leaves_no_garbage():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -7,6 +8,7 @@ from conftest import (
     HOSTILE_CFG, faulting_body, gap_body, second_verdict_body, stray_writer_body,
     wire_chain_program,
 )
+from mtlmon import compiler
 from mtlmon import formula as F
 from mtlmon.bitstream import HEADER_LEN, encode_file
 from mtlmon.cli import (
@@ -322,3 +324,82 @@ def test_fuzz_is_deterministic():
     assert first == second
     assert first[0] == EXIT_OK
     assert "passes: 5" in first[1]
+
+
+def without_operand_wires(monkeypatch):
+    """Inject a compiler defect: no wire around a lone AP operand of a binary
+    node, so that operand reaches the node undelayed."""
+    to_node = compiler._to_node  # recurses through the patched module name
+
+    def unwired(f):
+        node = to_node(f)
+        if isinstance(node, compiler.EmNode):
+            node.operands = [
+                op.operands[0] if isinstance(op, compiler.EmNode) and op.kind == "wire" else op
+                for op in node.operands
+            ]
+        return node
+
+    monkeypatch.setattr(compiler, "_to_node", unwired)
+
+
+def or_machine_one_cell_short(monkeypatch):
+    """Inject a compiler defect: until's or machine settles one cell fewer
+    false, so its que meets a cell that no writer offers."""
+    em_build = compiler.em_build
+
+    def short(kind, head, interval=None):
+        em = em_build(kind, head, interval)
+        ams = tuple(
+            dataclasses.replace(am, bot_interval=(am.bot_interval[0], am.bot_interval[1] - 1))
+            if am.opcode == "or" and kind == "until" and am.bot_interval[0] < am.bot_interval[1]
+            else am
+            for am in em.ams
+        )
+        return dataclasses.replace(em, ams=ams)
+
+    monkeypatch.setattr(compiler, "em_build", short)
+
+
+def test_fuzz_reports_mismatches_of_a_compiler_defect(monkeypatch):
+    without_operand_wires(monkeypatch)
+    code, out, err = run_cli("fuzz", "--seed", "1", "--count", "3")
+    assert (code, err) == (EXIT_MISMATCH, "")
+    assert out.splitlines() == [
+        "iterations: 3",
+        "passes: 0",
+        "failures: 3",
+        "throughput violations: 1",
+        "reprogram divergences: 0",
+        "hard faults: 0",
+        "iter 0: G[6,6] ap3 U[1,1] ap3 & (ap0 | ap2 -> ap0) U[0,0] !X ap1: "
+        "first mismatch (6, False, True)",
+        "iter 0: X ((ap0 & ap2) U[2,8] (ap0 & ap2)) U[3,3] ap0: first mismatch (-15, False, None)",
+        "iter 0: X ((ap0 & ap2) U[2,8] (ap0 & ap2)) U[3,3] ap0: broken emission schedule",
+        "iter 1: ap3 U[0,6] X ((ap2 | ap0) U[3,3] X ap0): first mismatch (5, False, True)",
+        "iter 2: ap2 & !ap1: first mismatch (1, True, False)",
+    ]
+
+
+def test_fuzz_reports_hard_faults_and_goes_on(monkeypatch):
+    # Iteration 0 faults after the reprogram; iteration 6 faults before it,
+    # and the reprogrammed formula still runs (and faults too).
+    or_machine_one_cell_short(monkeypatch)
+    code, out, err = run_cli("fuzz", "--seed", "1", "--count", "7")
+    assert (code, err) == (EXIT_FAULT, "")
+    assert out.splitlines() == [
+        "iterations: 7",
+        "passes: 4",
+        "failures: 3",
+        "throughput violations: 0",
+        "reprogram divergences: 0",
+        "hard faults: 4",
+        "iter 0: X ((ap0 & ap2) U[2,8] (ap0 & ap2)) U[3,3] ap0: "
+        "hard fault at event 2: Q2 bot offers leave cell 7 uncovered",
+        "iter 1: ap3 U[0,6] X ((ap2 | ap0) U[3,3] X ap0): "
+        "hard fault at event 15: Q5 bot offers leave cell 5 uncovered",
+        "iter 6: !(X F[1,2] ap0 U[1,7] !(ap3 & ap3)): "
+        "hard fault at event 23: Q4 bot offers leave cell 6 uncovered",
+        "iter 6: ap1 | ap0 & (ap1 U[0,3] ap0 | G[0,2] ap2): "
+        "hard fault at event 7: Q1 bot offers leave cell 2 uncovered",
+    ]

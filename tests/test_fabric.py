@@ -19,7 +19,15 @@ from mtlmon.compiler import allocate, compile_formula, plan
 from mtlmon.errors import AllocationError, BitstreamError, HardFault, ProtocolError, TraceError
 from mtlmon.fabric import Fabric
 from mtlmon.oracle import oracle_verdicts
-from mtlmon.program import FabricConfig, QConfig
+from mtlmon.program import (
+    INACTIVE_PE,
+    INACTIVE_Q,
+    FabricConfig,
+    MonitorProgram,
+    PeConfig,
+    QConfig,
+    derive_latency,
+)
 from mtlmon.toolchain import (
     DEFAULT_CONFIG,
     check_formula,
@@ -288,6 +296,36 @@ def test_a_long_que_chain_decodes_loads_and_delays_its_ap():
     events = [[rng.randrange(2)] for _ in range(2010)]
     got = [v for v in (fabric.step(e) for e in events) if v is not None]
     assert got == [(t, bool(events[t][0])) for t in range(11)]
+
+
+def test_a_que_cycle_beside_the_verdict_tree_loads_and_never_fires():
+    # PE0 wires ap0 into the verdict que Q0; PE1 wires Q2 into Q1 and PE2
+    # negates Q1 into Q2. No que of that cycle feeds Q0, so it leaves the
+    # latency alone, and neither of its ques ever holds a cell: each waits
+    # for the other's first value.
+    cfg = HOSTILE_CFG
+    wire = PeConfig(True, False, False, "wire", 0, (0, 0), (0, 0))
+    pes = (
+        wire,
+        dataclasses.replace(wire, op0_from_que=True, r_qid=1),
+        dataclasses.replace(wire, op0_from_que=True, opcode="not", r_qid=2),
+    ) + (INACTIVE_PE,) * (cfg.n_pe - 3)
+    qs = (
+        QConfig(True, True, 0, 0, 1),
+        QConfig(True, False, 2, 0, 1),
+        QConfig(True, False, 1, 0, 1),
+    ) + (INACTIVE_Q,) * (cfg.n_q - 3)
+    program = MonitorProgram(cfg, pes, qs, ((0, 0),) * cfg.n_pe, 2)
+    assert derive_latency(pes, qs) == 2
+    body = encode_program(program)
+    assert decode_program(body, cfg) == program
+    fabric = Fabric(cfg)
+    fabric.load(body)
+    assert fabric.latency == 2
+    events = random_trace(random.Random(15), 40, cfg.n_ap).events
+    got = [v for v in (fabric.step(e) for e in events) if v is not None]
+    assert got == [(t, events[t][0]) for t in range(39)]
+    assert fabric._ques[1:3] == [(0, 0, 0), (0, 0, 0)]
 
 
 def test_adjacent_offers_merge():

@@ -9,6 +9,7 @@ from mtlmon.program import FabricConfig, resolve_operands
 from mtlmon.toolchain import (
     DEFAULT_CONFIG,
     check_formula,
+    diff_verdicts,
     expected_emission,
     random_formula,
     random_trace,
@@ -68,6 +69,30 @@ def test_until_from_zero_group_resolution():
 def test_expected_emission_window():
     assert list(expected_emission(10, 3)) == list(range(8))
     assert list(expected_emission(2, 5)) == []
+
+
+# The reference is defined at times 0..3; a monitor is expected at 0..2.
+REFERENCE = [True, False, True, False]
+AGREEING = [(0, True), (1, False), (2, True)]
+
+
+@pytest.mark.parametrize("emitted,expected_times,mismatches", [
+    (AGREEING, range(3), []),
+    # a wrong value
+    ([(0, True), (1, True), (2, True)], range(3), [(1, True, False)]),
+    # times outside the schedule, with and without a reference verdict
+    (AGREEING + [(3, False)], range(3), [(3, False, False)]),
+    ([(-1, True)] + AGREEING + [(4, False)], range(3), [(-1, True, None), (4, False, None)]),
+    # a duplicate time, even with the right value
+    (AGREEING[:2] + [(1, False)] + AGREEING[2:], range(3), [(1, False, False)]),
+    # an expected time where the reference is undefined
+    (AGREEING + [(3, False), (4, True)], range(5), [(4, True, None)]),
+    # expected times that never arrived, with and without a reference verdict
+    (AGREEING[:1], range(3), [(1, None, False), (2, None, True)]),
+    (AGREEING, range(6), [(3, None, False), (4, None, None), (5, None, None)]),
+])
+def test_diff_verdicts_names_each_kind_of_mismatch(emitted, expected_times, mismatches):
+    assert diff_verdicts(emitted, REFERENCE, expected_times) == mismatches
 
 
 def test_check_report_shape():
