@@ -4,7 +4,9 @@ Body layout, in order: one record per PE, one per que, then one route record
 (two AP indices) per PE, each laid out field by field as in
 ``FabricConfig.pe_fields``, ``q_fields`` and ``route_fields``. Fields are
 packed MSB-first with no inter-record padding; the body is zero-padded to a
-byte boundary. Files carry a 16-byte header in front:
+byte boundary. An inactive record is all zeros, so the encoder packs only
+the other records into one body integer, and the decoder jumps from one
+nonzero record to the next. Files carry a 16-byte header in front:
 
     magic "MTLB" | version (2B BE) | n_pe n_q n_ap q_sz (2B BE each) | 2 zero bytes
 
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import struct
 from itertools import accumulate
-from operator import attrgetter
 
 from .errors import AllocationError, BitstreamError
 from .machine import EMPTY_INTERVAL, is_empty
@@ -36,41 +37,40 @@ MAGIC = b"MTLB"
 FORMAT_VERSION = 1
 HEADER_LEN = 16
 
-_q_values = attrgetter("is_active", "is_verdict", "reader_pe", "inp_no", "head")
-
-
 def encode_program(prog: MonitorProgram) -> bytes:
     """Pack the body bits (no header), zero-padded to a whole byte."""
     cfg = prog.config
-    bits = "".join(
-        _pack(prog.pes, INACTIVE_PE, _pe_values, cfg.pe_fields, "PE")
-        + _pack(prog.qs, INACTIVE_Q, _q_values, cfg.q_fields, "Q")
-        + _pack(prog.routes, (0, 0), tuple, cfg.route_fields, "PE")
-    )
-    assert len(bits) == cfg.body_bits
-    return int(bits.ljust(8 * cfg.body_bytes, "0"), 2).to_bytes(cfg.body_bytes, "big")
-
-
-def _pe_values(pe: PeConfig) -> tuple:
-    return (pe.is_active, pe.op0_from_que, pe.op1_from_que, OPCODE_BITS[pe.opcode],
-            pe.r_qid, *pe.top_interval, *pe.bot_interval)
-
-
-def _pack(records, inactive, values, fields: Fields, kind: str) -> list[str]:
-    """Each record as the binary digits of its fields; inactive is all zeros."""
-    zeros = "0" * sum(w for _, w in fields)
-    out = []
-    for index, record in enumerate(records):
-        word = 0
-        if record != inactive:
-            for value, (name, w) in zip(values(record), fields):
+    body, end = 0, 8 * cfg.body_bytes  # end: bits from a section's start to the body's end
+    for records, inactive, values, fields, kind in (
+        (prog.pes, INACTIVE_PE, _pe_values, cfg.pe_fields, "PE"),
+        (prog.qs, INACTIVE_Q, _q_values, cfg.q_fields, "Q"),
+        (prog.routes, (0, 0), lambda _, route: route, cfg.route_fields, "PE"),
+    ):
+        width = sum(w for _, w in fields)
+        for index, record in enumerate(records):
+            if record is inactive or record == inactive:
+                continue  # all zeros
+            word = 0
+            for value, (name, w) in zip(values(index, record), fields):
                 if value >> w:  # also true for a negative value
                     raise BitstreamError(
                         f"value {value} overflows {w}-bit field {kind}{index}.{name}"
                     )
                 word = word << w | value
-        out.append(format(word, f"0{len(zeros)}b") if word else zeros)
-    return out
+            body |= word << end - (index + 1) * width
+        end -= len(records) * width
+    return body.to_bytes(cfg.body_bytes, "big")
+
+
+def _pe_values(pid: int, pe: PeConfig) -> tuple:
+    if pe.opcode not in OPCODE_BITS:
+        raise BitstreamError(f"PE{pid}: unknown opcode {pe.opcode!r}")
+    return (pe.is_active, pe.op0_from_que, pe.op1_from_que, OPCODE_BITS[pe.opcode],
+            pe.r_qid, *pe.top_interval, *pe.bot_interval)
+
+
+def _q_values(_, q: QConfig) -> tuple:
+    return q.is_active, q.is_verdict, q.reader_pe, q.inp_no, q.head
 
 
 def decode_program(data: bytes, cfg: FabricConfig) -> MonitorProgram:
@@ -96,19 +96,18 @@ def _split(bits: str, pos: int, count: int, fields: Fields, inactive, build):
     """count records read from bits[pos:], and the position after them; an
     all-zero record is inactive, any other is build(index, field values)."""
     width = sum(w for _, w in fields)
-    zeros = "0" * width
     ends = accumulate(w for _, w in fields)
     masks = [(width - end, (1 << w) - 1) for (_, w), end in zip(fields, ends)]
-    records = []
-    for index in range(count):
-        chunk = bits[pos:pos + width]
-        pos += width
-        if chunk == zeros:
-            records.append(inactive)
-        else:
-            word = int(chunk, 2)
-            records.append(build(index, [word >> s & m for s, m in masks]))
-    return tuple(records), pos
+    records = [inactive] * count
+    end = pos + count * width
+    one = bits.find("1", pos, end)
+    while one >= 0:  # jump from one record holding a 1 to the next
+        index = (one - pos) // width
+        start = pos + index * width
+        word = int(bits[start:start + width], 2)
+        records[index] = build(index, [word >> s & m for s, m in masks])
+        one = bits.find("1", start + width, end)
+    return tuple(records), end
 
 
 def _pe_record(pid: int, v: list[int]) -> PeConfig:

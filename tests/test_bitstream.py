@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import random
@@ -19,6 +20,7 @@ from mtlmon.program import (
     INACTIVE_Q,
     FabricConfig,
     MonitorProgram,
+    PeConfig,
     QConfig,
     ceil_log2,
     derive_latency,
@@ -107,8 +109,6 @@ def test_deep_chains_encode_on_narrow_ap_fabrics():
 
 
 def test_field_overflow_is_rejected():
-    import dataclasses
-
     cfg = FabricConfig(4, 4, 8, 16)
     program = compile_formula(F.Not(F.AP(0)), cfg)
     pes = list(program.pes)
@@ -116,6 +116,67 @@ def test_field_overflow_is_rejected():
     broken = dataclasses.replace(program, pes=tuple(pes))
     with pytest.raises(BitstreamError, match="overflow"):
         encode_program(broken)
+
+
+def test_an_opcode_without_bits_is_rejected():
+    cfg = FabricConfig(4, 4, 8, 16)
+    program = compile_formula(F.Not(F.AP(0)), cfg)
+    pes = list(program.pes)
+    pes[2] = PeConfig(True, False, False, "xor", 0, (0, 0), (0, 0))
+    broken = dataclasses.replace(program, pes=tuple(pes))
+    with pytest.raises(BitstreamError, match="^PE2: unknown opcode 'xor'$"):
+        encode_program(broken)
+
+
+def _record_holding(cfg: FabricConfig, bit: int):
+    """(section, index) of the record that holds body bit ``bit`` (sections
+    0, 1, 2 are PEs, ques, routes), or None for a padding bit."""
+    sections = ((cfg.n_pe, cfg.pe_bits), (cfg.n_q, cfg.q_bits), (cfg.n_pe, cfg.route_bits))
+    for section, (count, width) in enumerate(sections):
+        if bit < count * width:
+            return section, bit // width
+        bit -= count * width
+    return None
+
+
+@pytest.mark.parametrize("cfg,step", [
+    (HOSTILE_CFG, 1),
+    (FabricConfig(8, 8, 4, 16), 1),
+    (FabricConfig(3, 3, 1, 5), 1),  # one AP: route records are 0 bits wide
+    (FabricConfig(256, 256, 16, 4096), 7),
+], ids=["hostile", "8-8-4-16", "3-3-1-5", "256-256-16-4096-every-7th-bit"])
+def test_a_single_bit_changes_only_the_record_that_holds_it(cfg, step):
+    zero = decode_program(bytes(cfg.body_bytes), cfg)
+    zero_records = (zero.pes, zero.qs, zero.routes)
+    for bit in range(0, 8 * cfg.body_bytes, step):
+        body = (1 << 8 * cfg.body_bytes - 1 - bit).to_bytes(cfg.body_bytes, "big")
+        holder = _record_holding(cfg, bit)
+        if holder is None:
+            with pytest.raises(BitstreamError, match="^nonzero padding bits$"):
+                decode_program(body, cfg)
+            continue
+        program = decode_program(body, cfg)
+        changed = [
+            (section, index)
+            for section, (got, zeros) in enumerate(zip((program.pes, program.qs, program.routes),
+                                                       zero_records))
+            for index, (record, inactive) in enumerate(zip(got, zeros))
+            if record != inactive
+        ]
+        assert changed == [holder], bit
+
+
+def test_the_last_records_of_a_large_fabric_roundtrip():
+    cfg = FabricConfig(256, 256, 16, 4096)
+    pes = (INACTIVE_PE,) * 255 + (PeConfig(True, False, False, "wire", 255, (0, 0), (0, 0)),)
+    qs = (INACTIVE_Q,) * 255 + (QConfig(True, True, 0, 0, 1),)
+    routes = ((0, 0),) * 255 + ((15, 0),)
+    program = MonitorProgram(cfg, pes, qs, routes, derive_latency(pes, qs))
+    body = encode_program(program)
+    assert decode_program(body, cfg) == program
+    wide = dataclasses.replace(pes[255], r_qid=256)
+    with pytest.raises(BitstreamError, match="^value 256 overflows 8-bit field PE255.r_qid$"):
+        encode_program(dataclasses.replace(program, pes=pes[:255] + (wide,)))
 
 
 def test_header_validation():
