@@ -19,15 +19,15 @@ interconnect phases:
    que's writers read, so each que memoizes it: the first cycle that
    meets a combination of those values runs the writers and stores the
    masks (or the idle), and later cycles look them up.
-4. que: the que takes one ``machine.que_step`` on those masks, the
-   que-update rule the golden model runs too (add, conflict test on cells
-   offered true and false, modify, delete at its head). The deleted
-   value is latched onto the que->PE crossbar for the next cycle, except the
-   verdict que's value, which leaves through the output port immediately.
-   Each que updates in place as it steps. A que whose step faults keeps
-   its state, since ``que_step`` raised first; ques that stepped earlier
-   in that cycle are never read, because the fault stops the fabric and
-   the next latch clears every que.
+4. que: the que takes one cycle of its ``machine.que_run`` generator on
+   those masks, the que-update rule the golden model runs too (add,
+   conflict test on cells offered true and false, modify, delete at its
+   head). The deleted value is latched onto the que->PE crossbar for the
+   next cycle, except the verdict que's value, which leaves through the
+   output port immediately. Each que updates in place as it steps. A fault
+   ends the faulting que's generator, and ques that stepped earlier in
+   that cycle are never read, because the fault stops the fabric (``que``
+   and ``step`` raise) and the next latch starts every que afresh.
 
 The verdict leaving at running cycle c (0-based since the program latched)
 is the formula verdict for time c - latency + 1; warm-up cycles produce no
@@ -37,7 +37,8 @@ Reprogramming: begin_reprogram opens the programming port at any moment;
 after the final byte the new configuration latches, every que clears, and
 cycle accounting for verdict timing restarts, so behavior is identical to
 a freshly programmed fabric.
-A HardFault is terminal: step raises ProtocolError until begin_reprogram.
+A HardFault is terminal: step raises ProtocolError until begin_reprogram,
+and que until the next latch.
 """
 
 from __future__ import annotations
@@ -49,11 +50,13 @@ from .bitstream import decode_program
 from .errors import AllocationError, HardFault, ProtocolError, TraceError
 from .machine import (
     OPCODE_ARITY,
+    QueState,
     am_result,
     check_offers,
     interval_mask,
     is_empty,
-    que_step,
+    que_peek,
+    que_run,
 )
 from .program import (
     FabricConfig,
@@ -107,7 +110,8 @@ class Fabric:
         self.latency = 0
         self.program: Optional[MonitorProgram] = None
         self._buffer = bytearray()
-        self._ques: list[tuple[int, int, int]] = [(0, 0, 0)] * config.n_q
+        # qid -> que_run generator, per driven que; None once a fault ends one
+        self._runs: Optional[dict] = {}
         self._delivered: list = [None]
         self._verdict = 0
         self._plan: list = []
@@ -145,10 +149,12 @@ class Fabric:
 
         One pass checks the PEs in pid order, then the ques, and groups the
         active PEs by result que. The plan holds one entry per driven que,
-        in ascending qid: (qid, head, key, memo, writers). ``step`` reads
-        one vector a cycle: the event's AP values, then the last cycle's
-        deliveries of the driven ques in plan order, then a slot that is
-        always None, which is what a port routed from any other que reads.
+        in ascending qid: (send, key, memo, writers), where ``send`` steps
+        the que's primed ``que_run`` generator, which ``_runs`` holds by
+        qid for ``que`` and fault messages. ``step`` reads one vector a
+        cycle: the event's AP values, then the last cycle's deliveries of
+        the driven ques in plan order, then a slot that is always None,
+        which is what a port routed from any other que reads.
         No port reads the verdict que's slot (``resolve_operands`` never
         sources one from it); ``step`` emits its value.
         ``key`` is an itemgetter over the vector slots the que's writers
@@ -212,15 +218,29 @@ class Fabric:
             (pos for pos, qid in enumerate(driven) if qs[qid].is_verdict), len(driven)
         )
         self._plan = []
+        self._runs = {}
         for qid, ws in sorted(writers.items()):
             read = sorted({i for _, i0, i1, _ in ws for i in (i0, i1)})
-            self._plan.append((qid, qs[qid].head, itemgetter(*read), {}, ws))
-        self._ques = [(0, 0, 0)] * cfg.n_q
+            run = self._runs[qid] = que_run(qs[qid].head)
+            next(run)
+            self._plan.append((run.send, itemgetter(*read), {}, ws))
         self._delivered = [None] * (len(driven) + 1)
         self.run_cycle = 0
         self.mode = "running"
 
     # -- datapath ------------------------------------------------------------
+
+    def que(self, qid: int) -> QueState:
+        """The contents of que ``qid`` as stepping left them; a que that no
+        latched PE writes reads empty. Costs the stepping path nothing.
+        After a fault it raises ProtocolError, as ``step`` does, until the
+        next program latches."""
+        if not 0 <= qid < self.config.n_q:
+            raise IndexError(f"no que {qid}, n_q={self.config.n_q}")
+        if self._runs is None:
+            raise ProtocolError("a fault ended the ques; load a program first")
+        run = self._runs.get(qid)
+        return QueState() if run is None else que_peek(run)
 
     def step(self, ap_values: Sequence[bool]) -> Optional[tuple[int, bool]]:
         """Run one monitor cycle on one event of n_ap values, each 0 or 1;
@@ -236,23 +256,20 @@ class Fabric:
             raise TraceError("event values must be 0 or 1")
 
         reads = [*ap_values, *self._delivered]
-        ques = self._ques
         delivered: list = []
         try:
-            for qid, head, key, memo, writers in self._plan:
+            for send, key, memo, writers in self._plan:
                 k = key(reads)
                 try:
                     offer = memo[k]
                 except KeyError:
                     offer = memo[k] = _offer(writers, reads)
-                if offer is None:
-                    delivered.append(None)
-                    continue
-                bot, top = offer
-                ques[qid], bit = que_step(ques[qid], bot, top, head)
-                delivered.append(bit)
+                # An idle que neither adds nor deletes: it skips its cycle.
+                delivered.append(None if offer is None else send(offer))
         except HardFault as fault:
             self.mode = "faulted"  # until begin_reprogram
+            qid = list(self._runs)[len(delivered)]  # the que that was stepping
+            self._runs = None  # until the next latch
             raise HardFault(f"Q{qid} {fault}") from None
 
         delivered.append(None)

@@ -10,9 +10,9 @@ exactly one MTL operator, and the values deleted at the que head form its
 verdict stream.
 
 Shared-que stepping: the machines' offers are ORed per polarity, pass
-``check_offers`` and the que takes one ``que_step``. That is the only
-que-update rule: the fabric runs it too, so the order of the machines does
-not matter.
+``check_offers`` and the que takes one cycle of ``que_run``. That is the
+only que-update rule: the fabric runs it too, so the order of the machines
+does not matter.
 Overlapping offers of one polarity are harmless; a cell offered both true
 and false is a hard fault.
 """
@@ -20,7 +20,7 @@ and false is a hard fault.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Generator, Optional, Sequence
 
 from .errors import HardFault
 
@@ -94,12 +94,15 @@ def check_offers(bot: int, top: int) -> None:
                 raise HardFault(f"{polarity} offers leave cell {gap} uncovered")
 
 
-def que_step(
-    que: tuple[int, int, int], bot: int, top: int, head: int
-) -> tuple[tuple[int, int, int], Optional[bool]]:
-    """One cycle of the que-update rules, shared by the golden model and the
-    fabric; returns the new que and the value deleted at ``head`` (None in
-    warm-up).
+class _Peek(Exception):
+    """Thrown into a ``que_run`` generator to read its que; see ``que_peek``."""
+
+
+def que_run(head: int, que: tuple[int, int, int] = (0, 0, 0)) -> Generator:
+    """The que-update rules, shared by the golden model and the fabric: a
+    generator, primed with ``next``, that holds one que from the triple
+    ``que`` on. Each ``send((bot, top))`` is one cycle and returns the value
+    deleted at ``head`` (None in warm-up).
 
     A que is three ints, (occupancy, unknown, value), with bit k standing
     for cell k and cell 0 the newest; ``unknown`` holds the live cells that
@@ -112,29 +115,44 @@ def que_step(
     they are; delete removes cell ``head`` once it exists, and deleting an
     unknown cell is a hard fault (a misprogrammed head). Every reachable que
     enters with at most ``head`` cells, so the deleted cell is the oldest
-    and the que keeps ``head`` cells.
+    and the que keeps ``head`` cells. A fault ends the generator. The three
+    ints live in the generator's locals; ``que_peek`` reads them.
     """
     occ, unknown, value = que
-    occ += 1
-    unknown = unknown << 1 | 1
-    clash = top & bot & unknown
-    if clash:
-        raise HardFault(f"top and bot offers both settle cell {(clash & -clash).bit_length() - 1}")
-    value = value << 1 | top & unknown
-    unknown &= ~(top | bot)
-    if occ <= head:
-        return (occ, unknown, value), None
     cell = 1 << head
-    if unknown & cell:
-        raise HardFault(f"deleted unresolved cell at head {head}: misprogrammed head")
-    return (head, unknown, value & ~cell), bool(value & cell)
+    deleted = None
+    while True:
+        try:
+            bot, top = yield deleted
+        except _Peek:
+            deleted = occ, unknown, value
+            continue
+        occ += 1
+        unknown = unknown << 1 | 1
+        clash = top & bot & unknown
+        if clash:
+            raise HardFault(f"top and bot offers both settle cell {(clash & -clash).bit_length() - 1}")
+        value = value << 1 | top & unknown
+        unknown &= ~(top | bot)
+        if occ <= head:
+            deleted = None
+            continue
+        if unknown & cell:
+            raise HardFault(f"deleted unresolved cell at head {head}: misprogrammed head")
+        occ, deleted, value = head, bool(value & cell), value & ~cell
+
+
+def que_peek(run: Generator) -> "QueState":
+    """The que a primed ``que_run`` generator holds; its next ``send`` goes
+    on from there, as does a new ``que_run`` started from the triple."""
+    return QueState(*run.throw(_Peek()))
 
 
 @dataclass(frozen=True)
 class QueState:
-    """A golden-model que: the ``que_step`` triple (occupancy, unknown,
+    """A golden-model que: the ``que_run`` triple (occupancy, unknown,
     value); ``unknown`` marks the cells still Maybe. ``QueState()`` is the
-    empty que. It has no capacity of its own: ``que_step`` keeps every
+    empty que. It has no capacity of its own: ``que_run`` keeps every
     que at most ``head`` cells long."""
 
     occupancy: int = 0
@@ -297,8 +315,10 @@ def em_step_trace(
             fired.append((res, interval))
     after_add = (MAYBE,) + q.cells
     check_offers(*offer)
-    que, verdict = que_step((q.occupancy, q.unknown, q.value), *offer, em.head)
-    q = QueState(*que)
+    run = que_run(em.head, (q.occupancy, q.unknown, q.value))
+    next(run)
+    verdict = run.send(offer)
+    q = que_peek(run)
     after_del = q.cells
     after_modify = after_del if verdict is None else after_del + (verdict,)
     return q, StepTrace(tuple(results), after_add, tuple(fired), after_modify, after_del, verdict)

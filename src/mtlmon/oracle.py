@@ -82,7 +82,7 @@ def oracle_verdicts(f: F.Formula, trace: Trace) -> list[bool]:
     if defined <= 0:
         return []
     mask = (1 << n) - 1
-    cols = [trace.column(k) for k in range(_width(f, trace))]
+    cols = trace.columns(_width(f, trace))
     bits = _eval_bits(f, cols, n, mask)
     return [bool(bits >> i & 1) for i in range(defined)]
 

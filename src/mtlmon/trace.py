@@ -9,12 +9,19 @@ header is the empty trace of width 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import TraceError
 
 
 _BIT = {0: False, 1: True}
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _pack(bits: Sequence[bool]) -> int:
+    """Bools as an int bitmask, bit t = bits[t]; 0 for no bits."""
+    return int(bytes(bits[::-1]).translate(_DIGITS) or b"0", 2)
 
 
 @dataclass(frozen=True)
@@ -52,11 +59,14 @@ class Trace:
 
     def column(self, ap: int) -> int:
         """The ap-th column packed as an int bitmask, bit t = value at time t."""
-        bits = 0
-        for t, row in enumerate(self.events):
-            if row[ap]:
-                bits |= 1 << t
-        return bits
+        return _pack([row[ap] for row in self.events])
+
+    def columns(self, width: int) -> list[int]:
+        """Columns 0..width-1 packed as ``column`` packs them, in one
+        transpose; ``width`` is at most the trace's width."""
+        if not self.events:
+            return [0] * width
+        return [_pack(col) for col in islice(zip(*self.events), width)]
 
 
 def make_trace(rows: Iterable[Sequence[int | bool]], width: int | None = None) -> Trace:

@@ -18,6 +18,7 @@ from mtlmon.bitstream import decode_program, encode_program
 from mtlmon.compiler import allocate, compile_formula, plan
 from mtlmon.errors import AllocationError, BitstreamError, HardFault, ProtocolError, TraceError
 from mtlmon.fabric import Fabric
+from mtlmon.machine import QueState
 from mtlmon.oracle import oracle_verdicts
 from mtlmon.program import (
     INACTIVE_PE,
@@ -59,7 +60,9 @@ def test_fresh_fabric_is_programming_mode():
     fabric = Fabric(FabricConfig(16, 16, 16, 256))
     assert fabric.mode == "programming"
     assert fabric.total_cycles == 0
-    assert len(fabric._ques) == 16
+    assert [fabric.que(qid) for qid in range(16)] == [QueState()] * 16
+    with pytest.raises(IndexError):
+        fabric.que(16)
 
 
 def test_degenerate_single_cell_ques():
@@ -325,7 +328,7 @@ def test_a_que_cycle_beside_the_verdict_tree_loads_and_never_fires():
     events = random_trace(random.Random(15), 40, cfg.n_ap).events
     got = [v for v in (fabric.step(e) for e in events) if v is not None]
     assert got == [(t, events[t][0]) for t in range(39)]
-    assert fabric._ques[1:3] == [(0, 0, 0), (0, 0, 0)]
+    assert [fabric.que(1), fabric.que(2)] == [QueState(), QueState()]
 
 
 def test_adjacent_offers_merge():

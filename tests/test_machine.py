@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from conftest import HOSTILE_CFG, gap_body
 from mtlmon import formula as F
 from mtlmon.bitstream import encode_program
 from mtlmon.compiler import compile_formula
-from mtlmon.errors import HardFault
+from mtlmon.errors import HardFault, ProtocolError
 from mtlmon.fabric import Fabric
 from mtlmon.machine import (
     EMPTY_INTERVAL,
@@ -25,7 +26,8 @@ from mtlmon.machine import (
     interval_mask,
     is_empty,
     min_head,
-    que_step,
+    que_peek,
+    que_run,
     stream_ports,
 )
 from mtlmon.oracle import oracle_verdicts
@@ -49,12 +51,12 @@ def q(*cells):
 
 
 def step(cells, bot=EMPTY_INTERVAL, top=EMPTY_INTERVAL, head=7):
-    """One que_step from the given cells; the cells after it and the deleted value."""
+    """One que_run cycle from the given cells; the cells after it and the deleted value."""
     state = q(*cells)
-    que, deleted = que_step(
-        (state.occupancy, state.unknown, state.value), interval_mask(bot), interval_mask(top), head
-    )
-    return QueState(*que).cells, deleted
+    run = que_run(head, (state.occupancy, state.unknown, state.value))
+    next(run)
+    deleted = run.send((interval_mask(bot), interval_mask(top)))
+    return que_peek(run).cells, deleted
 
 
 # -- que primitives ----------------------------------------------------------
@@ -112,6 +114,42 @@ def test_check_offers_names_the_lowest_gap_top_first():
         check_offers(0b101, 0b10111)  # top is tested before bot
     for bot, top in ((0, 0), (0b1, 0), (0, 0b1110), (0b111000, 0b111), (0b1110, 0b1110)):
         assert check_offers(bot, top) is None
+
+
+def test_a_que_restarted_from_its_peeked_state_steps_on_alike():
+    # A que stepped on without a break and one restarted through que_run
+    # from the peeked triple before every cycle: the same deleted value and
+    # state each cycle, or the same fault.
+    rng = random.Random(21)
+    outcomes = collections.Counter()
+    for _ in range(300):
+        head = rng.randint(0, 7)
+        run = que_run(head)
+        next(run)
+        state = QueState()
+        for _ in range(40):
+            if rng.random() < 0.9:  # settle every cell, some true and the rest false
+                split = rng.randint(0, head + 1)
+                offer = ((1 << head + 1) - (1 << split), (1 << split) - 1)
+            else:  # anything: it may leave a cell unresolved or offer one both values
+                offer = (rng.getrandbits(head + 1), rng.getrandbits(head + 1))
+            restarted = que_run(head, (state.occupancy, state.unknown, state.value))
+            next(restarted)
+            got = []
+            for gen in (run, restarted):
+                try:
+                    got.append(gen.send(offer))
+                except HardFault as fault:
+                    got.append(str(fault).split(" cell")[0])
+            assert got[0] == got[1], (head, state, offer)
+            outcomes[got[0]] += 1
+            if isinstance(got[0], str):
+                break
+            state = que_peek(run)
+            assert que_peek(restarted) == state
+    assert outcomes[None] > 300 and outcomes[True] > 1000 and outcomes[False] > 1000
+    assert outcomes["top and bot offers both settle"] > 0
+    assert outcomes["deleted unresolved"] > 0
 
 
 # -- abstract machine result ---------------------------------------------------
@@ -440,7 +478,7 @@ def test_golden_model_and_fabric_hold_the_same_cells(kind, interval, f):
         event = [rng.random() < 0.5 for _ in range(cfg.n_ap)]
         out = fabric.step(event)
         state, tr = em_step_trace(em, state, *event[: em.arity])
-        assert QueState(*fabric._ques[root]).cells == tr.after_del, cycle
+        assert fabric.que(root).cells == tr.after_del, cycle
         assert tr.verdict == (None if out is None else out[1]), cycle
 
 
@@ -458,6 +496,12 @@ def group_fabric(ams, head):
     qs = (QConfig(True, True, 0, 0, head),) + (INACTIVE_Q,) * (cfg.n_q - 1)
     fabric = Fabric(cfg)
     fabric.load(encode_program(MonitorProgram(cfg, pes, qs, routes, head + 1)))
+    return fabric
+
+
+def _loaded(body):
+    fabric = Fabric(HOSTILE_CFG)
+    fabric.load(body)
     return fabric
 
 
@@ -507,6 +551,36 @@ def test_writers_offering_one_cell_both_values_fault_and_equal_offers_merge():
         group_fabric(disagree, 1).step(events[0])
     agree = (AmProgram("wire", 0, None, (0, 0), (0, 0)),) * 2
     assert group_outcomes(agree, 1, events) == ([None, T, B, T], [None, T, B, T])
+
+
+@pytest.mark.parametrize("fabric, event, message", [
+    (lambda: group_fabric([AmProgram("wire", 0, None, (0, 0), (0, 0)),
+                           AmProgram("not", 0, None, (0, 0), (0, 0))], 1),
+     [1, 0], "Q0 top and bot offers both settle cell 0"),
+    (lambda: group_fabric([AmProgram("wire", 0, None, EMPTY_INTERVAL, EMPTY_INTERVAL)], 1),
+     [1, 0], "Q0 deleted unresolved cell at head 1: misprogrammed head"),
+    (lambda: _loaded(gap_body()), [0, 0, 0], "Q0 bot offers leave cell 1 uncovered"),
+])
+def test_a_fault_leaves_no_que_to_read_until_the_next_load(fabric, event, message):
+    fabric = fabric()
+    body = encode_program(fabric.program)
+    n_q = fabric.config.n_q
+    assert [fabric.que(qid) for qid in range(n_q)] == [QueState()] * n_q
+    with pytest.raises(HardFault, match=f"^{message}$"):
+        for _ in range(3):
+            fabric.step(event)
+    for _ in range(2):  # faulted, then programming
+        for qid in range(n_q):
+            with pytest.raises(ProtocolError):
+                fabric.que(qid)
+        with pytest.raises(ProtocolError):
+            fabric.step(event)
+        fabric.begin_reprogram()
+    fabric.load(body)
+    assert [fabric.que(qid) for qid in range(n_q)] == [QueState()] * n_q
+    with pytest.raises(HardFault, match=f"^{message}$"):
+        for _ in range(3):
+            fabric.step(event)
 
 
 def test_golden_model_and_fabric_agree_on_random_writer_groups():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mtlmon.errors import TraceError
@@ -114,3 +116,16 @@ def test_column_bitmask():
     trace = make_trace([[1, 0], [0, 1], [1, 1]])
     assert trace.column(0) == 0b101
     assert trace.column(1) == 0b110
+
+
+def test_columns_pack_like_the_bit_by_bit_definition():
+    rng = random.Random(5)
+    shapes = [(0, 0), (0, 3), (1, 1), (40, 1), (3, 4)]
+    shapes += [(rng.randrange(1, 300), rng.randrange(1, 20)) for _ in range(30)]
+    for n, width in shapes:
+        rows = [[rng.randrange(2) for _ in range(width)] for _ in range(n)]
+        trace = make_trace(rows, width)
+        expected = [sum(rows[t][k] << t for t in range(n)) for k in range(width)]
+        assert trace.columns(width) == expected, (n, width)
+        assert trace.columns(width // 2) == expected[: width // 2], (n, width)
+        assert [trace.column(k) for k in range(width)] == expected, (n, width)
