@@ -31,6 +31,7 @@ from .program import (
     PeConfig,
     QConfig,
     derive_latency,
+    resolve_operands,
 )
 
 MAGIC = b"MTLB"
@@ -74,31 +75,44 @@ def _q_values(_, q: QConfig) -> tuple:
 
 
 def decode_program(data: bytes, cfg: FabricConfig) -> MonitorProgram:
-    """Exact inverse of encode_program for the given configuration."""
+    """Exact inverse of encode_program for the given configuration.
+
+    The split finds the records holding a 1 without visiting the others,
+    and everything after it works on the active ones alone: the operands
+    are resolved once and the latency derived once, and the program hands
+    both, with the active ids, on to ``Fabric._latch``.
+    """
     if len(data) != cfg.body_bytes:
         raise BitstreamError(
             f"body is {len(data)} bytes, configuration needs {cfg.body_bytes}"
         )
     bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
-    pes, pos = _split(bits, 0, cfg.n_pe, cfg.pe_fields, INACTIVE_PE, _pe_record)
-    qs, pos = _split(bits, pos, cfg.n_q, cfg.q_fields, INACTIVE_Q,
-                     lambda _, v: QConfig(bool(v[0]), bool(v[1]), *v[2:]))
-    routes, pos = _split(bits, pos, cfg.n_pe, cfg.route_fields, (0, 0), lambda _, v: tuple(v))
+    pes, pe_ids, pos = _split(bits, 0, cfg.n_pe, cfg.pe_fields, INACTIVE_PE, _pe_record)
+    qs, q_ids, pos = _split(bits, pos, cfg.n_q, cfg.q_fields, INACTIVE_Q,
+                            lambda _, v: QConfig(bool(v[0]), bool(v[1]), *v[2:]))
+    routes, _, pos = _split(bits, pos, cfg.n_pe, cfg.route_fields, (0, 0),
+                            lambda _, v: tuple(v))
     if "1" in bits[pos:]:
         raise BitstreamError("nonzero padding bits")
-    latency = derive_latency(pes, qs)
-    if sum(q.is_active and q.is_verdict for q in qs) > 1:
+    # A record that holds a 1 may still be inactive.
+    pe_ids = tuple(pid for pid in pe_ids if pes[pid].is_active)
+    q_ids = tuple(qid for qid in q_ids if qs[qid].is_active)
+    sources = resolve_operands(pes, qs, pe_ids, q_ids)
+    latency = derive_latency(pes, qs, sources, pe_ids, q_ids)
+    if sum(qs[qid].is_verdict for qid in q_ids) > 1:
         raise BitstreamError("more than one active verdict que")
-    return MonitorProgram(cfg, pes, qs, routes, latency)
+    return MonitorProgram(cfg, pes, qs, routes, latency, (pe_ids, q_ids, sources))
 
 
 def _split(bits: str, pos: int, count: int, fields: Fields, inactive, build):
-    """count records read from bits[pos:], and the position after them; an
+    """count records read from bits[pos:]: the records, the ids of those
+    holding a 1 in ascending order, and the position after them; an
     all-zero record is inactive, any other is build(index, field values)."""
     width = sum(w for _, w in fields)
     ends = accumulate(w for _, w in fields)
     masks = [(width - end, (1 << w) - 1) for (_, w), end in zip(fields, ends)]
     records = [inactive] * count
+    found = []
     end = pos + count * width
     one = bits.find("1", pos, end)
     while one >= 0:  # jump from one record holding a 1 to the next
@@ -106,8 +120,9 @@ def _split(bits: str, pos: int, count: int, fields: Fields, inactive, build):
         start = pos + index * width
         word = int(bits[start:start + width], 2)
         records[index] = build(index, [word >> s & m for s, m in masks])
+        found.append(index)
         one = bits.find("1", start + width, end)
-    return tuple(records), end
+    return tuple(records), found, end
 
 
 def _pe_record(pid: int, v: list[int]) -> PeConfig:

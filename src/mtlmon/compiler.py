@@ -169,6 +169,12 @@ def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
     fabric, or the child's que id; a child que's reader fields
     name the first port of its stream in ``stream_ports``, and the fabric
     derives the taps.
+
+    As it lowers, it records the que of every que-fed port: each port
+    ``stream_ports`` lists for an operand stream reads that operand's que,
+    which is what ``resolve_operands`` would find in the records. So the
+    latency is derived from those sources, with no resolution, and the
+    program carries them with its active ids.
     """
     order = bfs_order(root)
     lowering = [(n, em_build(n.kind, n.head, n.interval).ams) for n in reversed(order)]
@@ -199,12 +205,15 @@ def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
     qs: list[QConfig] = [INACTIVE_Q] * cfg.n_q
     routes: list[tuple[int, int]] = [(0, 0)] * cfg.n_pe
     qs[root.q_id] = QConfig(True, True, 0, 0, root.head)
+    sources: dict[tuple[int, int], int] = {}
 
     for node, ams in lowering:
         for operand, ports in zip(node.operands, stream_ports(ams)):
             if isinstance(operand, EmNode):
                 m, slot = ports[0]
                 qs[operand.q_id] = QConfig(True, False, node.pe_ids[m], slot, operand.head)
+                for m, slot in ports:
+                    sources[(node.pe_ids[m], slot)] = operand.q_id
         for am, pe_id in zip(ams, node.pe_ids):
             slots = [am.op0] + ([am.op1] if am.op1 is not None else [])
             from_que = [False, False]
@@ -220,7 +229,9 @@ def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
             routes[pe_id] = (route[0], route[1])
 
     pes_t, qs_t = tuple(pes), tuple(qs)
-    return MonitorProgram(cfg, pes_t, qs_t, tuple(routes), derive_latency(pes_t, qs_t))
+    pe_ids, q_ids = tuple(range(next_pe)), tuple(range(next_q))
+    latency = derive_latency(pes_t, qs_t, sources, pe_ids, q_ids)
+    return MonitorProgram(cfg, pes_t, qs_t, tuple(routes), latency, (pe_ids, q_ids, sources))
 
 
 def compile_formula(

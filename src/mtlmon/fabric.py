@@ -58,13 +58,9 @@ from .machine import (
     que_peek,
     que_run,
 )
-from .program import (
-    FabricConfig,
-    MonitorProgram,
-    derive_latency,
-    resolve_operands,
-    slot_from_que,
-)
+from .program import FabricConfig, MonitorProgram, slot_from_que
+# Unused here, but perfbench/layers.py patches these names in this module.
+from .program import derive_latency, resolve_operands  # noqa: F401
 
 # The event values step accepts, equal to {0, 1}. Stored as bools, so the
 # bool events of a Trace match by identity, which halves the check's cost.
@@ -147,7 +143,10 @@ class Fabric:
     def _latch(self, program: MonitorProgram) -> None:
         """Validate the decoded records and latch them as the datapath plan.
 
-        One pass checks the PEs in pid order, then the ques, and groups the
+        It works from what ``decode_program`` handed on: the active PE and
+        que ids, the operand sources and the latency, so it neither scans
+        every record nor resolves or derives again. One pass checks the
+        active PEs in pid order, then the active ques, and groups the
         active PEs by result que. The plan holds one entry per driven que,
         in ascending qid: (send, key, memo, writers), where ``send`` steps
         the que's primed ``que_run`` generator, which ``_runs`` holds by
@@ -166,15 +165,14 @@ class Fabric:
         """
         cfg = self.config
         n_ap = cfg.n_ap
-        pes, qs = program.pes, program.qs
-        sources = resolve_operands(pes, qs)
-        driven = sorted({pe.r_qid for pe in pes if pe.is_active})
+        pes, qs, sources = program.pes, program.qs, program.sources
+        pe_ids, q_ids = program.pe_ids, program.q_ids
+        driven = sorted({pes[pid].r_qid for pid in pe_ids})
         none_slot = n_ap + len(driven)
         slot_of = {qid: n_ap + pos for pos, qid in enumerate(driven)}
         writers: dict[int, list] = {}
-        for pid, pe in enumerate(pes):
-            if not pe.is_active:
-                continue
+        for pid in pe_ids:
+            pe = pes[pid]
             if pe.r_qid >= cfg.n_q:
                 raise AllocationError(f"PE{pid} writes que {pe.r_qid}, n_q={cfg.n_q}")
             if not qs[pe.r_qid].is_active:
@@ -194,9 +192,8 @@ class Fabric:
             masks = (interval_mask(pe.bot_interval), interval_mask(pe.top_interval))
             writer = (_TABLES[pe.opcode], ports[0], ports[-1], masks)
             writers.setdefault(pe.r_qid, []).append(writer)
-        for qid, q in enumerate(qs):
-            if not q.is_active:
-                continue
+        for qid in q_ids:
+            q = qs[qid]
             if q.head >= cfg.q_sz:
                 raise AllocationError(f"Q{qid} head {q.head} exceeds que size {cfg.q_sz}")
             if q.is_verdict:
@@ -212,7 +209,7 @@ class Fabric:
                 raise AllocationError(
                     f"Q{qid} names reader PE{pid}.{slot}, which does not take que input"
                 )
-        self.latency = derive_latency(pes, qs, sources)
+        self.latency = program.latency
         self.program = program
         self._verdict = next(
             (pos for pos, qid in enumerate(driven) if qs[qid].is_verdict), len(driven)

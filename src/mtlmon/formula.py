@@ -177,7 +177,8 @@ def constant_fold(f: Formula) -> Formula | bool:
     The fabric has no constant-input source, so allocation requires a
     constant-free tree. Mixed constant/formula temporal cases rewrite to the
     equivalent residual operator (e.g. ``p U[t1,t2] true`` needs p to hold
-    up to the start of the window, i.e. ``G[0,t1-1] p``).
+    up to the start of the window, i.e. ``G[0,t1-1] p``). A node with
+    nothing to fold below it comes back as it is, the same object.
     """
     if isinstance(f, TrueConst):
         return True
@@ -185,37 +186,37 @@ def constant_fold(f: Formula) -> Formula | bool:
         return f
     if isinstance(f, Not):
         c = constant_fold(f.child)
-        return (not c) if isinstance(c, bool) else Not(c)
+        return (not c) if isinstance(c, bool) else f if c is f.child else Not(c)
     if isinstance(f, And):
         l, r = constant_fold(f.left), constant_fold(f.right)
         if isinstance(l, bool):
             return r if l else False
         if isinstance(r, bool):
             return l if r else False
-        return And(l, r)
+        return f if l is f.left and r is f.right else And(l, r)
     if isinstance(f, Or):
         l, r = constant_fold(f.left), constant_fold(f.right)
         if isinstance(l, bool):
             return True if l else r
         if isinstance(r, bool):
             return True if r else l
-        return Or(l, r)
+        return f if l is f.left and r is f.right else Or(l, r)
     if isinstance(f, Implies):
         l, r = constant_fold(f.left), constant_fold(f.right)
         if isinstance(l, bool):
             return r if l else True
         if isinstance(r, bool):
             return True if r else Not(l)
-        return Implies(l, r)
+        return f if l is f.left and r is f.right else Implies(l, r)
     if isinstance(f, Next):
         c = constant_fold(f.child)
-        return c if isinstance(c, bool) else Next(c)
+        return c if isinstance(c, bool) else f if c is f.child else Next(c)
     if isinstance(f, Box):
         c = constant_fold(f.child)
-        return c if isinstance(c, bool) else Box(c, f.lo, f.hi)
+        return c if isinstance(c, bool) else f if c is f.child else Box(c, f.lo, f.hi)
     if isinstance(f, Diamond):
         c = constant_fold(f.child)
-        return c if isinstance(c, bool) else Diamond(c, f.lo, f.hi)
+        return c if isinstance(c, bool) else f if c is f.child else Diamond(c, f.lo, f.hi)
     if isinstance(f, Until):
         l, r = constant_fold(f.left), constant_fold(f.right)
         if isinstance(r, bool) and not r:
@@ -230,7 +231,7 @@ def constant_fold(f: Formula) -> Formula | bool:
             if l:
                 return Diamond(r, f.lo, f.hi)
             return r if f.lo == 0 else False  # witness must be at offset 0
-        return Until(l, r, f.lo, f.hi)
+        return f if l is f.left and r is f.right else Until(l, r, f.lo, f.hi)
     raise TypeError(f"not a formula: {f!r}")
 
 

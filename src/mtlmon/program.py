@@ -16,7 +16,8 @@ from ``em_build``'s until shapes, so the register widths stay untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 from .errors import AllocationError
 from .machine import OPCODE_ARITY, em_build, stream_ports
@@ -49,31 +50,33 @@ class FabricConfig:
 
     # One PE, que and route programming record as (field, width) pairs,
     # MSB first. The bitstream codec packs and splits records by these.
-    @property
+    # Each width is computed once per configuration; body_bits stays a
+    # plain property, which perfbench/layers.py wraps to count its calls.
+    @cached_property
     def pe_fields(self) -> Fields:
         w = ceil_log2(self.q_sz)
         return (("isActive", 1), ("op0Src", 1), ("op1Src", 1), ("opcode", 3),
                 ("r_qid", ceil_log2(self.n_q)),
                 ("top.lo", w), ("top.hi", w), ("bot.lo", w), ("bot.hi", w))
 
-    @property
+    @cached_property
     def q_fields(self) -> Fields:
         return (("isActive", 1), ("isVerdict", 1), ("readerPE", ceil_log2(self.n_pe)),
                 ("inp_no", 1), ("head", ceil_log2(self.q_sz)))
 
-    @property
+    @cached_property
     def route_fields(self) -> Fields:
         return (("route0", ceil_log2(self.n_ap)), ("route1", ceil_log2(self.n_ap)))
 
-    @property
+    @cached_property
     def pe_bits(self) -> int:
         return sum(w for _, w in self.pe_fields)
 
-    @property
+    @cached_property
     def q_bits(self) -> int:
         return sum(w for _, w in self.q_fields)
 
-    @property
+    @cached_property
     def route_bits(self) -> int:
         return sum(w for _, w in self.route_fields)
 
@@ -81,7 +84,7 @@ class FabricConfig:
     def body_bits(self) -> int:
         return self.n_pe * self.pe_bits + self.n_q * self.q_bits + self.n_pe * self.route_bits
 
-    @property
+    @cached_property
     def body_bytes(self) -> int:
         return (self.body_bits + 7) // 8
 
@@ -118,6 +121,15 @@ class MonitorProgram:
     id depending on the PE's source flags. latency is the height of the
     root: the verdict emitted at running cycle c (0-based) is for time
     c - latency + 1.
+
+    The decoder and the allocator hand on what they learn while they build
+    the records, as ``found`` = (pe_ids, q_ids, sources), so that no later
+    step scans every record or resolves the operands again: ``pe_ids`` and
+    ``q_ids`` are the ids of the active PE and que records, ascending, and
+    ``sources`` is ``resolve_operands`` of the records. Without ``found``
+    (a program built by hand, or by ``dataclasses.replace``, which never
+    carries it over) the ids come from a scan and ``sources`` is None.
+    None of the three takes part in equality.
     """
 
     config: FabricConfig
@@ -125,14 +137,29 @@ class MonitorProgram:
     qs: tuple[QConfig, ...]
     routes: tuple[tuple[int, int], ...]
     latency: int
+    found: InitVar[tuple | None] = None
+    pe_ids: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    q_ids: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    sources: dict[tuple[int, int], int] | None = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, found):
         if len(self.pes) != self.config.n_pe or len(self.qs) != self.config.n_q:
             raise ValueError("record counts do not match the configuration")
         if len(self.routes) != self.config.n_pe:
             raise ValueError("need one route pair per PE")
-        if sum(1 for q in self.qs if q.is_active and q.is_verdict) > 1:
+        if found is None:
+            found = active_ids(self.pes), active_ids(self.qs), None
+        pe_ids, q_ids, sources = found
+        if sum(self.qs[qid].is_verdict for qid in q_ids) > 1:
             raise ValueError("at most one verdict que")
+        object.__setattr__(self, "pe_ids", pe_ids)
+        object.__setattr__(self, "q_ids", q_ids)
+        object.__setattr__(self, "sources", sources)
+
+
+def active_ids(records) -> tuple[int, ...]:
+    """The ids of the active records, ascending."""
+    return tuple(i for i, record in enumerate(records) if record.is_active)
 
 
 def slot_from_que(pe: PeConfig, slot: int) -> bool:
@@ -151,7 +178,10 @@ _UNTIL_TAPS = {
 
 
 def resolve_operands(
-    pes: tuple[PeConfig, ...], qs: tuple[QConfig, ...]
+    pes: tuple[PeConfig, ...],
+    qs: tuple[QConfig, ...],
+    pe_ids: tuple[int, ...] | None = None,
+    q_ids: tuple[int, ...] | None = None,
 ) -> dict[tuple[int, int], int]:
     """Map every que-sourced (pe, slot) port to the que that feeds it.
 
@@ -159,10 +189,20 @@ def resolve_operands(
     group whose writers have the opcodes of an until realization also
     feeds each tap of that realization from its named port's que. Anything
     else left unresolved is a misprogrammed monitor.
+
+    ``pe_ids`` and ``q_ids`` are the ids of the active records, ascending,
+    as the decoder finds them; without them the records are scanned.
+    ``decode_program`` calls this once per load, and ``allocate`` not at
+    all: it records each port's que as it lowers.
     """
+    if pe_ids is None:
+        pe_ids = active_ids(pes)
+    if q_ids is None:
+        q_ids = active_ids(qs)
     sources: dict[tuple[int, int], int] = {}
-    for qid, q in enumerate(qs):
-        if not q.is_active or q.is_verdict:
+    for qid in q_ids:
+        q = qs[qid]
+        if q.is_verdict:
             continue
         port = (q.reader_pe, q.inp_no)
         if port in sources:
@@ -172,9 +212,8 @@ def resolve_operands(
         sources[port] = qid
 
     groups: dict[int, list[int]] = {}
-    for pid, pe in enumerate(pes):
-        if pe.is_active:
-            groups.setdefault(pe.r_qid, []).append(pid)
+    for pid in pe_ids:
+        groups.setdefault(pes[pid].r_qid, []).append(pid)
 
     for members in groups.values():
         for m, pid in enumerate(members):
@@ -197,6 +236,8 @@ def derive_latency(
     pes: tuple[PeConfig, ...],
     qs: tuple[QConfig, ...],
     sources: dict[tuple[int, int], int] | None = None,
+    pe_ids: tuple[int, ...] | None = None,
+    q_ids: tuple[int, ...] | None = None,
 ) -> int:
     """Height of the verdict que, recomputed from the records alone.
 
@@ -211,17 +252,28 @@ def derive_latency(
     never reaches the verdict que, and a walk down from it meets each que
     once. The walk carries each que's depth, the cycles from its writers
     to the verdict output; the latency is the largest.
+
+    ``sources`` is ``resolve_operands`` of the records, resolved here when
+    it is not given; ``pe_ids`` and ``q_ids`` are the active ids, as there.
+    Compiling derives the latency once, from the sources ``allocate``
+    records as it lowers; loading derives it once, in ``decode_program``,
+    from its own resolution, and the fabric takes ``MonitorProgram.latency``.
     """
+    if pe_ids is None:
+        pe_ids = active_ids(pes)
+    if q_ids is None:
+        q_ids = active_ids(qs)
     if sources is None:
-        sources = resolve_operands(pes, qs)
+        sources = resolve_operands(pes, qs, pe_ids, q_ids)
     # feeds[q]: the ques read by the PEs that write q.
     feeds: dict[int, set[int]] = {}
-    for pid, pe in enumerate(pes):
-        if pe.is_active:
-            for slot in range(OPCODE_ARITY[pe.opcode]):
-                if slot_from_que(pe, slot):
-                    feeds.setdefault(pe.r_qid, set()).add(sources[(pid, slot)])
-    root = next((qid for qid, q in enumerate(qs) if q.is_active and q.is_verdict), None)
+    for pid in pe_ids:
+        pe = pes[pid]
+        if pe.op0_from_que:
+            feeds.setdefault(pe.r_qid, set()).add(sources[(pid, 0)])
+        if pe.op1_from_que and OPCODE_ARITY[pe.opcode] == 2:
+            feeds.setdefault(pe.r_qid, set()).add(sources[(pid, 1)])
+    root = next((qid for qid in q_ids if qs[qid].is_verdict), None)
     latency = 0
     todo = [] if root is None else [(root, 0)]
     while todo:

@@ -10,7 +10,10 @@ one outcome line per body, in two parts:
   the event that raised (-1 at load) with the error class and message.
 
 A change that claims to keep the bitstream contract and the fabric's
-behaviour must leave the output byte-identical. pytest does not collect this
+behaviour must leave the output byte-identical. ``sweep_expected.txt`` holds
+it, as Python 3.11 prints it; CI diffs the output against that file on
+Python 3.11, and a change that alters the output on purpose updates the file
+with the reason in CHANGES.md. pytest does not collect this
 file; the pinned tests in ``test_bitstream.py`` and ``test_fabric.py`` are
 smaller versions of the same two checks.
 """

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -28,6 +29,7 @@ from mtlmon.program import (
     PeConfig,
     QConfig,
     derive_latency,
+    resolve_operands,
 )
 from mtlmon.toolchain import (
     DEFAULT_CONFIG,
@@ -299,6 +301,47 @@ def test_a_long_que_chain_decodes_loads_and_delays_its_ap():
     events = [[rng.randrange(2)] for _ in range(2010)]
     got = [v for v in (fabric.step(e) for e in events) if v is not None]
     assert got == [(t, bool(events[t][0])) for t in range(11)]
+
+
+def _count_calls(monkeypatch, names):
+    """Count the calls of each named function through every mtlmon module
+    that binds the name, so that a call made through any binding counts."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for n, m in sys.modules.items() if n == "mtlmon" or n.startswith("mtlmon.")]
+    for module in modules:
+        for name in names:
+            fn = vars(module).get(name)
+            if fn is None:
+                continue
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_text_to_latch_resolves_once_and_derives_the_latency_once_a_step(monkeypatch):
+    # Compiling records each port's que as it lowers and resolves nothing;
+    # loading resolves once in the decoder, which hands the resolution and
+    # the latency on to the latch.
+    cfg = FabricConfig(256, 256, 16, 4096)
+    f = F.parse("G[0,3] (ap0 U[1,4] (X ap1 | F[0,2] !(ap2 & ap3)))")
+    assert f.depth == 6
+    counts = _count_calls(monkeypatch, ("resolve_operands", "derive_latency"))
+    program = compile_formula(f, cfg)
+    assert counts == {"resolve_operands": 0, "derive_latency": 1}
+    body = encode_program(program)
+    counts.update(resolve_operands=0, derive_latency=0)
+    fabric = Fabric(cfg)
+    fabric.load(body)
+    assert counts == {"resolve_operands": 1, "derive_latency": 1}
+    assert fabric.program == program and fabric.latency == program.latency
+    monkeypatch.undo()
+    assert program.latency == derive_latency(program.pes, program.qs)
+    assert program.sources == resolve_operands(program.pes, program.qs)
+    assert fabric.program.sources == program.sources
 
 
 def test_a_que_cycle_beside_the_verdict_tree_loads_and_never_fires():

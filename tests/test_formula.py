@@ -238,6 +238,22 @@ def test_fold_mixed_until():
     assert F.constant_fold(F.Until(F.Not(F.TrueConst()), F.AP(1), 1, 3)) is False
 
 
+@pytest.mark.parametrize("text", [
+    "ap0", "!ap0", "ap0 & ap1", "ap0 | ap1", "ap0 -> ap1", "X ap0", "G[1,3] ap0",
+    "F[0,2] ap0", "ap0 U[1,4] ap1", "G[0,3] (ap0 U[1,4] (X ap1 | F[0,2] !(ap2 & ap3)))",
+])
+def test_fold_gives_a_constant_free_formula_back_itself(text):
+    f = F.parse(text)
+    assert F.constant_fold(f) is f
+
+
+def test_fold_keeps_a_subtree_with_nothing_to_fold():
+    f = F.parse("(true -> ap0) & G[1,2] (ap1 | X ap2)")
+    folded = F.constant_fold(f)
+    assert folded == F.And(F.AP(0), f.right)
+    assert folded.left is f.left.right and folded.right is f.right
+
+
 @given(formulas())
 @settings(max_examples=300)
 def test_fold_leaves_no_constants(f):
