@@ -23,6 +23,7 @@ from .machine import EMPTY_INTERVAL, is_empty
 from .program import (
     INACTIVE_PE,
     INACTIVE_Q,
+    INACTIVE_ROUTE,
     FabricConfig,
     Fields,
     MonitorProgram,
@@ -45,7 +46,7 @@ def encode_program(prog: MonitorProgram) -> bytes:
     for records, inactive, values, fields, kind in (
         (prog.pes, INACTIVE_PE, _pe_values, cfg.pe_fields, "PE"),
         (prog.qs, INACTIVE_Q, _q_values, cfg.q_fields, "Q"),
-        (prog.routes, (0, 0), lambda _, route: route, cfg.route_fields, "PE"),
+        (prog.routes, INACTIVE_ROUTE, lambda _, route: route, cfg.route_fields, "PE"),
     ):
         width = sum(w for _, w in fields)
         for index, record in enumerate(records):
@@ -90,7 +91,7 @@ def decode_program(data: bytes, cfg: FabricConfig) -> MonitorProgram:
     pes, pe_ids, pos = _split(bits, 0, cfg.n_pe, cfg.pe_fields, INACTIVE_PE, _pe_record)
     qs, q_ids, pos = _split(bits, pos, cfg.n_q, cfg.q_fields, INACTIVE_Q,
                             lambda _, v: QConfig(bool(v[0]), bool(v[1]), *v[2:]))
-    routes, _, pos = _split(bits, pos, cfg.n_pe, cfg.route_fields, (0, 0),
+    routes, _, pos = _split(bits, pos, cfg.n_pe, cfg.route_fields, INACTIVE_ROUTE,
                             lambda _, v: tuple(v))
     if "1" in bits[pos:]:
         raise BitstreamError("nonzero padding bits")

@@ -18,6 +18,7 @@ from .program import (
     FabricConfig,
     INACTIVE_PE,
     INACTIVE_Q,
+    INACTIVE_ROUTE,
     MonitorProgram,
     PeConfig,
     QConfig,
@@ -203,7 +204,7 @@ def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
 
     pes: list[PeConfig] = [INACTIVE_PE] * cfg.n_pe
     qs: list[QConfig] = [INACTIVE_Q] * cfg.n_q
-    routes: list[tuple[int, int]] = [(0, 0)] * cfg.n_pe
+    routes: list[tuple[int, int]] = [INACTIVE_ROUTE] * cfg.n_pe
     qs[root.q_id] = QConfig(True, True, 0, 0, root.head)
     sources: dict[tuple[int, int], int] = {}
 

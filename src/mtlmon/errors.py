@@ -38,7 +38,8 @@ class HardFault(RuntimeError):
     polarity to a que left a cell uncovered inside their span, or one
     cycle's writers offered an unknown cell both true and false. The golden
     model and the fabric share the que rules, ``machine.check_offers`` for
-    the gap and ``machine.que_run`` for the rest, so either can raise each;
+    the gap and ``machine.que_run`` on the ``machine.que_offer`` digest for
+    the rest, so either can raise each;
     the fabric's message names the que too. Signals a misprogrammed
     monitor, never user error."""
 

@@ -15,19 +15,21 @@ interconnect phases:
    (pipeline warm-up) idles this cycle.
 3. PE -> que: the que ORs its writers' offers per polarity into a single
    top mask and a single bottom mask, which ``machine.check_offers`` tests
-   for gaps. Phases 2-3 are a fixed function of the operand values the
-   que's writers read, so each que memoizes it: the first cycle that
-   meets a combination of those values runs the writers and stores the
-   masks (or the idle), and later cycles look them up.
+   for gaps and ``machine.que_offer`` digests into the triple (top, both,
+   rest) that the que rule takes. Phases 2-3 are a fixed function of the
+   operand values the que's writers read, so each que memoizes it: the
+   first cycle that meets a combination of those values runs the writers
+   and stores the digest (or the idle), and later cycles look it up.
 4. que: the que takes one cycle of its ``machine.que_run`` generator on
-   those masks, the que-update rule the golden model runs too (add,
+   that digest, the que-update rule the golden model runs too (add,
    conflict test on cells offered true and false, modify, delete at its
-   head). The deleted value is latched onto the que->PE crossbar for the
-   next cycle, except the verdict que's value, which leaves through the
-   output port immediately. Each que updates in place as it steps. A fault
-   ends the faulting que's generator, and ques that stepped earlier in
-   that cycle are never read, because the fault stops the fabric (``que``
-   and ``step`` raise) and the next latch starts every que afresh.
+   head once warm-up has filled it). The deleted value is latched onto
+   the que->PE crossbar for the next cycle, except the verdict que's
+   value, which leaves through the output port immediately. Each que
+   updates in place as it steps. A fault ends the faulting que's
+   generator, and ques that stepped earlier in that cycle are never read,
+   because the fault stops the fabric (``que`` and ``step`` raise) and the
+   next latch starts every que afresh.
 
 The verdict leaving at running cycle c (0-based since the program latched)
 is the formula verdict for time c - latency + 1; warm-up cycles produce no
@@ -55,6 +57,7 @@ from .machine import (
     check_offers,
     interval_mask,
     is_empty,
+    que_offer,
     que_peek,
     que_run,
 )
@@ -73,11 +76,12 @@ _TABLES = {
 }
 
 
-def _offer(writers: list, reads: list) -> Optional[tuple[int, int]]:
+def _offer(writers: list, reads: list) -> Optional[tuple[int, int, int]]:
     """What a que's writers offer on one read vector: None when none of them
     has all its operands (the que idles), else their (bottom, top) masks ORed
-    per polarity, which must pass ``check_offers``. A value is read by its
-    truth, so 1.0 reads as 1. ``step`` memoizes the result per key."""
+    per polarity, which must pass ``check_offers``, as the ``que_offer``
+    triple that ``que_run`` takes. A value is read by its truth, so 1.0
+    reads as 1. ``step`` memoizes the result per key."""
     offer = None
     for table, i0, i1, masks in writers:
         v0 = reads[i0]
@@ -91,7 +95,7 @@ def _offer(writers: list, reads: list) -> Optional[tuple[int, int]]:
     if offer is None:
         return None
     check_offers(*offer)
-    return offer[0], offer[1]
+    return que_offer(*offer)
 
 
 class Fabric:
@@ -157,7 +161,8 @@ class Fabric:
         No port reads the verdict que's slot (``resolve_operands`` never
         sources one from it); ``step`` emits its value.
         ``key`` is an itemgetter over the vector slots the que's writers
-        read, and ``memo`` maps each key met so far to the que's offer (see
+        read, and ``memo`` maps each key met so far to the ``que_offer``
+        digest that ``send`` takes, or None for an idle que (see
         ``_offer``). A writer is its truth table from ``_TABLES``, indexed
         by v0 + 2*v1; the vector slots of its two operand ports, a unary PE
         reading its one port twice and so using entries 0 and 3; and its

@@ -10,9 +10,11 @@ exactly one MTL operator, and the values deleted at the que head form its
 verdict stream.
 
 Shared-que stepping: the machines' offers are ORed per polarity, pass
-``check_offers`` and the que takes one cycle of ``que_run``. That is the
-only que-update rule: the fabric runs it too, so the order of the machines
-does not matter.
+``check_offers``, and ``que_offer`` digests them into the triple (top,
+both, rest) on which the que takes one cycle of ``que_run``: a warm-up
+phase that fills the que, then a full phase that deletes one cell a cycle.
+That is the only que-update rule: the fabric runs it too, so the order of
+the machines does not matter.
 Overlapping offers of one polarity are harmless; a cell offered both true
 and false is a hard fault.
 """
@@ -94,15 +96,27 @@ def check_offers(bot: int, top: int) -> None:
                 raise HardFault(f"{polarity} offers leave cell {gap} uncovered")
 
 
+def que_offer(bot: int, top: int) -> tuple[int, int, int]:
+    """The form in which ``que_run`` takes one cycle's ORed offers: the top
+    mask, the cells offered both true and false, and the cells offered
+    neither. A pure function of the masks, with no gap test."""
+    return top, top & bot, ~(top | bot)
+
+
 class _Peek(Exception):
     """Thrown into a ``que_run`` generator to read its que; see ``que_peek``."""
+
+
+def _clash(cells: int) -> HardFault:
+    return HardFault(f"top and bot offers both settle cell {(cells & -cells).bit_length() - 1}")
 
 
 def que_run(head: int, que: tuple[int, int, int] = (0, 0, 0)) -> Generator:
     """The que-update rules, shared by the golden model and the fabric: a
     generator, primed with ``next``, that holds one que from the triple
-    ``que`` on. Each ``send((bot, top))`` is one cycle and returns the value
-    deleted at ``head`` (None in warm-up).
+    ``que`` on. Each ``send`` of the triple ``que_offer(bot, top)`` = (top,
+    both, rest) is one cycle and returns the value deleted at ``head``
+    (None in warm-up).
 
     A que is three ints, (occupancy, unknown, value), with bit k standing
     for cell k and cell 0 the newest; ``unknown`` holds the live cells that
@@ -113,33 +127,47 @@ def que_run(head: int, que: tuple[int, int, int] = (0, 0, 0)) -> Generator:
     a hard fault, since writers disagree on it; modify settles the other
     unknown cells of ``top`` true and of ``bot`` false, leaving the rest as
     they are; delete removes cell ``head`` once it exists, and deleting an
-    unknown cell is a hard fault (a misprogrammed head). Every reachable que
-    enters with at most ``head`` cells, so the deleted cell is the oldest
-    and the que keeps ``head`` cells. A fault ends the generator. The three
-    ints live in the generator's locals; ``que_peek`` reads them.
+    unknown cell is a hard fault (a misprogrammed head). A fault ends the
+    generator. The three ints live in the generator's locals; ``que_peek``
+    reads them.
+
+    The rule runs in two phases. Warm-up adds and modifies until the que
+    holds ``head`` cells. Every reachable que enters with at most ``head``
+    cells, so from then on it holds ``head`` before each cycle: the full
+    phase keeps no count, and the cell it deletes is the oldest.
     """
     occ, unknown, value = que
     cell = 1 << head
     deleted = None
-    while True:
+    while occ < head:
         try:
-            bot, top = yield deleted
+            top, both, rest = yield deleted
         except _Peek:
             deleted = occ, unknown, value
             continue
         occ += 1
         unknown = unknown << 1 | 1
-        clash = top & bot & unknown
-        if clash:
-            raise HardFault(f"top and bot offers both settle cell {(clash & -clash).bit_length() - 1}")
+        if both & unknown:
+            raise _clash(both & unknown)
         value = value << 1 | top & unknown
-        unknown &= ~(top | bot)
-        if occ <= head:
-            deleted = None
+        unknown &= rest
+        deleted = None
+    keep = cell - 1
+    while True:
+        try:
+            top, both, rest = yield deleted
+        except _Peek:
+            deleted = head, unknown, value
             continue
+        unknown = unknown << 1 | 1
+        if both & unknown:
+            raise _clash(both & unknown)
+        value = value << 1 | top & unknown
+        unknown &= rest
         if unknown & cell:
             raise HardFault(f"deleted unresolved cell at head {head}: misprogrammed head")
-        occ, deleted, value = head, bool(value & cell), value & ~cell
+        deleted = value >= cell
+        value &= keep
 
 
 def que_peek(run: Generator) -> "QueState":
@@ -317,7 +345,7 @@ def em_step_trace(
     check_offers(*offer)
     run = que_run(em.head, (q.occupancy, q.unknown, q.value))
     next(run)
-    verdict = run.send(offer)
+    verdict = run.send(que_offer(*offer))
     q = que_peek(run)
     after_del = q.cells
     after_modify = after_del if verdict is None else after_del + (verdict,)

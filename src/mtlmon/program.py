@@ -111,6 +111,7 @@ class QConfig:
 
 INACTIVE_PE = PeConfig(False, False, False, "wire", 0, (0, 0), (0, 0))
 INACTIVE_Q = QConfig(False, False, 0, 0, 0)
+INACTIVE_ROUTE = (0, 0)
 
 
 @dataclass(frozen=True)

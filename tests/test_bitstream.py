@@ -18,6 +18,7 @@ from mtlmon.errors import AllocationError, BitstreamError
 from mtlmon.program import (
     INACTIVE_PE,
     INACTIVE_Q,
+    INACTIVE_ROUTE,
     FabricConfig,
     MonitorProgram,
     PeConfig,
@@ -74,6 +75,26 @@ def test_roundtrip_of_compiled_programs():
         assert decode_program(body, cfg) == program
         assert decode_file(encode_file(program)) == program
         done += 1
+
+
+def test_unused_routes_are_the_shared_inactive_record():
+    # The encoder skips a record that is its section's inactive record by
+    # identity before it compares; the compiler and the decoder fill every
+    # unused route with that one object.
+    rng = random.Random(8)
+    for cfg in (FabricConfig(16, 16, 8, 64), FabricConfig(256, 256, 16, 4096)):
+        done = 0
+        while done < 10:
+            try:
+                program = compile_formula(random_formula(rng, 3, 5), cfg)
+            except AllocationError:
+                continue
+            decoded = decode_program(encode_program(program), cfg)
+            for p in (program, decoded):
+                unused = [r for pe, r in zip(p.pes, p.routes) if not pe.is_active]
+                assert len(unused) >= cfg.n_pe - 16
+                assert all(route is INACTIVE_ROUTE for route in unused)
+            done += 1
 
 
 def test_all_zero_body_is_all_inactive():

@@ -26,6 +26,7 @@ from mtlmon.machine import (
     interval_mask,
     is_empty,
     min_head,
+    que_offer,
     que_peek,
     que_run,
     stream_ports,
@@ -55,7 +56,7 @@ def step(cells, bot=EMPTY_INTERVAL, top=EMPTY_INTERVAL, head=7):
     state = q(*cells)
     run = que_run(head, (state.occupancy, state.unknown, state.value))
     next(run)
-    deleted = run.send((interval_mask(bot), interval_mask(top)))
+    deleted = run.send(que_offer(interval_mask(bot), interval_mask(top)))
     return que_peek(run).cells, deleted
 
 
@@ -138,7 +139,7 @@ def test_a_que_restarted_from_its_peeked_state_steps_on_alike():
             got = []
             for gen in (run, restarted):
                 try:
-                    got.append(gen.send(offer))
+                    got.append(gen.send(que_offer(*offer)))
                 except HardFault as fault:
                     got.append(str(fault).split(" cell")[0])
             assert got[0] == got[1], (head, state, offer)
@@ -150,6 +151,83 @@ def test_a_que_restarted_from_its_peeked_state_steps_on_alike():
     assert outcomes[None] > 300 and outcomes[True] > 1000 and outcomes[False] > 1000
     assert outcomes["top and bot offers both settle"] > 0
     assert outcomes["deleted unresolved"] > 0
+
+
+def reference_que_cycle(head, que, bot, top):
+    """The que rule in one phase, with the occupancy counted on every
+    cycle: the (que, deleted) after one cycle of que_run."""
+    occ, unknown, value = que
+    cell = 1 << head
+    occ += 1
+    unknown = unknown << 1 | 1
+    clash = top & bot & unknown
+    if clash:
+        raise HardFault(f"top and bot offers both settle cell {(clash & -clash).bit_length() - 1}")
+    value = value << 1 | top & unknown
+    unknown &= ~(top | bot)
+    if occ <= head:
+        return (occ, unknown, value), None
+    if unknown & cell:
+        raise HardFault(f"deleted unresolved cell at head {head}: misprogrammed head")
+    return (head, unknown, value & ~cell), bool(value & cell)
+
+
+def test_the_two_phase_que_rule_matches_the_single_loop_rule():
+    # Random histories through que_offer, peeked and restarted from the
+    # peeked triple in both phases: the same deleted values, triples and
+    # fault messages as the reference.
+    rng = random.Random(20)
+    seen = collections.Counter()
+    for history in range(300):
+        head = history % 8
+        full = (1 << head + 1) - 1
+        sparse = history % 4 == 0  # offers that seldom settle every cell
+        que = (0, 0, 0)
+        run = que_run(head)
+        next(run)
+        for _ in range(rng.randint(1, 3 * head + 6)):
+            phase = "warm-up" if que[0] < head else "full"
+            if rng.random() < 0.3:
+                assert que_peek(run) == QueState(*que)
+                seen["peek " + phase] += 1
+            if rng.random() < 0.2:
+                run = que_run(head, que)
+                next(run)
+                seen["restart " + phase] += 1
+            kind = 0.8 + 0.2 * rng.random() if sparse else rng.random()
+            if kind < 0.8:  # settle every cell, some true and the rest false
+                split = rng.randint(0, head + 1)
+                bot, top = full - (1 << split) + 1, (1 << split) - 1
+            elif kind < 0.85:  # overlapping runs; one may be empty
+                lo, hi = sorted(rng.randint(0, head) for _ in range(2))
+                bot, top = interval_mask((lo, head)), interval_mask((0, hi))
+            elif kind < 0.95:  # one run above cell 0, or none: cells stay Maybe
+                bot, top = 0, interval_mask((rng.randint(1, head + 1), head))
+            else:  # anything, gaps and clashes included
+                bot, top = rng.getrandbits(head + 1), rng.getrandbits(head + 1)
+            try:
+                que, expected = reference_que_cycle(head, que, bot, top)
+            except HardFault as fault:
+                with pytest.raises(HardFault) as got:
+                    run.send(que_offer(bot, top))
+                assert str(got.value) == str(fault)
+                seen[str(fault).split(" cell")[0]] += 1
+                break
+            assert run.send(que_offer(bot, top)) == expected
+            seen[expected] += 1
+        else:
+            assert que_peek(run) == QueState(*que)
+    for outcome in ("peek warm-up", "peek full", "restart warm-up", "restart full"):
+        assert seen[outcome] > 20, seen
+    assert seen[None] > 300 and seen[True] > 300 and seen[False] > 100
+    assert seen["top and bot offers both settle"] > 5
+    assert seen["deleted unresolved"] > 5
+
+
+def test_que_offer_digests_the_masks():
+    assert que_offer(0b0011, 0b0110) == (0b0110, 0b0010, ~0b0111)
+    assert que_offer(0, 0) == (0, 0, -1)
+    assert que_offer(0b101, 0) == (0, 0, ~0b101)  # no gap test
 
 
 # -- abstract machine result ---------------------------------------------------
