@@ -16,16 +16,14 @@ The header is consumed by tools; only the body is streamed into the fabric.
 from __future__ import annotations
 
 import struct
-from itertools import accumulate
 
 from .errors import AllocationError, BitstreamError
-from .machine import EMPTY_INTERVAL, is_empty
+from .machine import EMPTY_INTERVAL
 from .program import (
     INACTIVE_PE,
     INACTIVE_Q,
     INACTIVE_ROUTE,
     FabricConfig,
-    Fields,
     MonitorProgram,
     OPCODE_BITS,
     OPCODE_NAMES,
@@ -88,10 +86,11 @@ def decode_program(data: bytes, cfg: FabricConfig) -> MonitorProgram:
             f"body is {len(data)} bytes, configuration needs {cfg.body_bytes}"
         )
     bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
-    pes, pe_ids, pos = _split(bits, 0, cfg.n_pe, cfg.pe_fields, INACTIVE_PE, _pe_record)
-    qs, q_ids, pos = _split(bits, pos, cfg.n_q, cfg.q_fields, INACTIVE_Q,
-                            lambda _, v: QConfig(bool(v[0]), bool(v[1]), *v[2:]))
-    routes, _, pos = _split(bits, pos, cfg.n_pe, cfg.route_fields, INACTIVE_ROUTE,
+    pe_layout, q_layout, route_layout = cfg.layouts
+    pes, pe_ids, pos = _split(bits, 0, cfg.n_pe, pe_layout, INACTIVE_PE, _pe_record)
+    qs, q_ids, pos = _split(bits, pos, cfg.n_q, q_layout, INACTIVE_Q,
+                            lambda _, v: QConfig(v[0] == 1, v[1] == 1, v[2], v[3], v[4]))
+    routes, _, pos = _split(bits, pos, cfg.n_pe, route_layout, INACTIVE_ROUTE,
                             lambda _, v: tuple(v))
     if "1" in bits[pos:]:
         raise BitstreamError("nonzero padding bits")
@@ -105,13 +104,12 @@ def decode_program(data: bytes, cfg: FabricConfig) -> MonitorProgram:
     return MonitorProgram(cfg, pes, qs, routes, latency, (pe_ids, q_ids, sources))
 
 
-def _split(bits: str, pos: int, count: int, fields: Fields, inactive, build):
-    """count records read from bits[pos:]: the records, the ids of those
-    holding a 1 in ascending order, and the position after them; an
-    all-zero record is inactive, any other is build(index, field values)."""
-    width = sum(w for _, w in fields)
-    ends = accumulate(w for _, w in fields)
-    masks = [(width - end, (1 << w) - 1) for (_, w), end in zip(fields, ends)]
+def _split(bits: str, pos: int, count: int, layout: tuple, inactive, build):
+    """count records read from bits[pos:], laid out as one of
+    ``FabricConfig.layouts``: the records, the ids of those holding a 1 in
+    ascending order, and the position after them; an all-zero record is
+    inactive, any other is build(index, field values)."""
+    width, masks = layout
     records = [inactive] * count
     found = []
     end = pos + count * width
@@ -127,12 +125,14 @@ def _split(bits: str, pos: int, count: int, fields: Fields, inactive, build):
 
 
 def _pe_record(pid: int, v: list[int]) -> PeConfig:
-    if v[3] not in OPCODE_NAMES:
-        raise BitstreamError(f"PE{pid}: unknown opcode bits {v[3]:03b}")
+    active, src0, src1, opcode, r_qid, top_lo, top_hi, bot_lo, bot_hi = v
+    if opcode not in OPCODE_NAMES:
+        raise BitstreamError(f"PE{pid}: unknown opcode bits {opcode:03b}")
     # Canonicalize any lo > hi encoding to the sentinel so the
     # encode/decode roundtrip is an identity on canonical programs.
-    top, bot = (EMPTY_INTERVAL if is_empty(iv) else iv for iv in ((v[5], v[6]), (v[7], v[8])))
-    return PeConfig(bool(v[0]), bool(v[1]), bool(v[2]), OPCODE_NAMES[v[3]], v[4], top, bot)
+    return PeConfig(active == 1, src0 == 1, src1 == 1, OPCODE_NAMES[opcode], r_qid,
+                    EMPTY_INTERVAL if top_lo > top_hi else (top_lo, top_hi),
+                    EMPTY_INTERVAL if bot_lo > bot_hi else (bot_lo, bot_hi))
 
 
 def encode_file(prog: MonitorProgram) -> bytes:

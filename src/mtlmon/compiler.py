@@ -4,7 +4,7 @@ Pipeline: build the evaluator tree, one node per operator plus a wire node
 around a bare AP root and each lone AP operand of a binary operator (so both
 operands of every binary evaluator arrive with equal delay); balance que
 heads bottom-up; then assign PEs and ques in reverse breadth-first order and
-lower the machines ``machine.em_build`` lists for each node to records.
+lower the machines of each node's ``machine.em_shape`` to records.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import formula as F
 from .errors import AllocationError
-from .machine import em_build, min_head, stream_ports
+from .machine import em_shape, min_head
 from .program import (
     FabricConfig,
     INACTIVE_PE,
@@ -163,23 +163,23 @@ def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
     """Assign PEs/ques in reverse breadth-first order and lower to records.
 
     Each node takes the next free que and one consecutive PE per machine
-    of its ``em_build`` programming, in that order. Each PE record takes its
+    of its ``em_shape``, in that order. Each PE record takes its
     machine's intervals unchanged: they end below the node's head, which is
     below the que size. The root que is the verdict que. Operand routes
     carry the AP index, which ``compile_formula`` has checked against the
     fabric, or the child's que id; a child que's reader fields
-    name the first port of its stream in ``stream_ports``, and the fabric
+    name the first port of its stream in the shape's ports, and the fabric
     derives the taps.
 
     As it lowers, it records the que of every que-fed port: each port
-    ``stream_ports`` lists for an operand stream reads that operand's que,
+    the shape lists for an operand stream reads that operand's que,
     which is what ``resolve_operands`` would find in the records. So the
     latency is derived from those sources, with no resolution, and the
     program carries them with its active ids.
     """
     order = bfs_order(root)
-    lowering = [(n, em_build(n.kind, n.head, n.interval).ams) for n in reversed(order)]
-    total_pes = sum(len(ams) for _, ams in lowering)
+    lowering = [(n, *em_shape(n.kind, n.interval)) for n in reversed(order)]
+    total_pes = sum(len(ams) for _, ams, _ in lowering)
     if total_pes > cfg.n_pe:
         raise AllocationError(
             f"PE exhaustion: formula needs {total_pes} PEs, fabric has {cfg.n_pe}"
@@ -191,7 +191,7 @@ def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
 
     next_pe = 0
     next_q = 0
-    for node, ams in lowering:
+    for node, ams, _ in lowering:
         if node.head >= cfg.q_sz:
             raise AllocationError(
                 f"node {node.em_index} ({node.kind}) needs head {node.head}, "
@@ -208,26 +208,20 @@ def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
     qs[root.q_id] = QConfig(True, True, 0, 0, root.head)
     sources: dict[tuple[int, int], int] = {}
 
-    for node, ams in lowering:
-        for operand, ports in zip(node.operands, stream_ports(ams)):
+    for node, ams, streams in lowering:
+        for operand, ports in zip(node.operands, streams):
             if isinstance(operand, EmNode):
                 m, slot = ports[0]
                 qs[operand.q_id] = QConfig(True, False, node.pe_ids[m], slot, operand.head)
                 for m, slot in ports:
                     sources[(node.pe_ids[m], slot)] = operand.q_id
         for am, pe_id in zip(ams, node.pe_ids):
-            slots = [am.op0] + ([am.op1] if am.op1 is not None else [])
-            from_que = [False, False]
-            route = [0, 0]
-            for slot, operand_index in enumerate(slots):
-                operand = node.operands[operand_index]
-                if isinstance(operand, EmNode):
-                    from_que[slot] = True
-                else:
-                    route[slot] = operand
-            pes[pe_id] = PeConfig(True, from_que[0], from_que[1], am.opcode, node.q_id,
+            op0 = node.operands[am.op0]
+            op1 = 0 if am.op1 is None else node.operands[am.op1]  # slot 1 of a unary PE: route 0
+            que0, que1 = isinstance(op0, EmNode), isinstance(op1, EmNode)
+            pes[pe_id] = PeConfig(True, que0, que1, am.opcode, node.q_id,
                                   am.top_interval, am.bot_interval)
-            routes[pe_id] = (route[0], route[1])
+            routes[pe_id] = (0 if que0 else op0, 0 if que1 else op1)
 
     pes_t, qs_t = tuple(pes), tuple(qs)
     pe_ids, q_ids = tuple(range(next_pe)), tuple(range(next_q))
@@ -244,9 +238,8 @@ def compile_formula(
     to program, the verdict stream is that constant. Every AP the formula
     names must be on the fabric, even one that folding drops.
     """
-    top_ap = max(F.ap_indices(f), default=-1)
-    if top_ap >= cfg.n_ap:
-        raise AllocationError(f"ap{top_ap} out of range for n_ap={cfg.n_ap}")
+    if f.top_ap >= cfg.n_ap:
+        raise AllocationError(f"ap{f.top_ap} out of range for n_ap={cfg.n_ap}")
     folded = F.constant_fold(f)
     if isinstance(folded, bool):
         return folded

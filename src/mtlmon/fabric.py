@@ -56,12 +56,11 @@ from .machine import (
     am_result,
     check_offers,
     interval_mask,
-    is_empty,
     que_offer,
     que_peek,
     que_run,
 )
-from .program import FabricConfig, MonitorProgram, slot_from_que
+from .program import FabricConfig, MonitorProgram
 # Unused here, but perfbench/layers.py patches these names in this module.
 from .program import derive_latency, resolve_operands  # noqa: F401
 
@@ -182,12 +181,13 @@ class Fabric:
                 raise AllocationError(f"PE{pid} writes que {pe.r_qid}, n_q={cfg.n_q}")
             if not qs[pe.r_qid].is_active:
                 raise AllocationError(f"PE{pid} writes inactive que {pe.r_qid}")
-            for name, iv in (("top", pe.top_interval), ("bot", pe.bot_interval)):
-                if not is_empty(iv) and iv[1] >= cfg.q_sz:
-                    raise AllocationError(f"PE{pid} {name} interval {iv} exceeds que size")
+            for name, (lo, hi) in (("top", pe.top_interval), ("bot", pe.bot_interval)):
+                if lo <= hi and hi >= cfg.q_sz:
+                    raise AllocationError(f"PE{pid} {name} interval {lo, hi} exceeds que size")
             ports = []
+            from_que = pe.op0_from_que, pe.op1_from_que
             for slot in range(OPCODE_ARITY[pe.opcode]):
-                if slot_from_que(pe, slot):
+                if from_que[slot]:
                     ports.append(slot_of.get(sources[(pid, slot)], none_slot))
                     continue
                 ap = program.routes[pid][slot]
@@ -209,7 +209,7 @@ class Fabric:
                 pe is None
                 or not pe.is_active
                 or slot >= OPCODE_ARITY[pe.opcode]
-                or not slot_from_que(pe, slot)
+                or not (pe.op0_from_que, pe.op1_from_que)[slot]
             ):
                 raise AllocationError(
                     f"Q{qid} names reader PE{pid}.{slot}, which does not take que input"

@@ -15,11 +15,12 @@ TypeError, a bad interval an IntervalError, and a negative AP index or an
 atom more than ``MAX_NESTING`` operators below the node a ParseError. No
 such tree can exist, so every recursive pass stays well inside Python's
 default limit of 1000 frames; the parser also allows at most MAX_NESTING
-open parentheses. ``semantic_future`` counts how many future events a
-verdict depends on; it defines the range of trace positions on which a
-verdict is determined. The operator minimum heads and the monitor latency
-belong to the hardware and live in ``machine.min_head`` and
-``program.derive_latency``.
+open parentheses. Each node records its nesting ``depth`` and its largest
+AP index ``top_ap`` as it checks itself. ``semantic_future`` counts how
+many future events a verdict depends on; it defines the range of trace
+positions on which a verdict is determined. The operator minimum heads and
+the monitor latency belong to the hardware and live in ``machine.min_head``
+and ``program.derive_latency``.
 """
 
 from __future__ import annotations
@@ -37,18 +38,23 @@ class Formula:
     """Base class for AST nodes. Nodes are immutable and compare by value.
 
     ``depth`` is the most operators above any atom of the node: 0 for an
-    atom, otherwise 1 + its deepest child's.
+    atom, otherwise 1 + its deepest child's. ``top_ap`` is the largest AP
+    index in the node, -1 if it has none.
     """
 
     depth: int = field(init=False, repr=False, compare=False)
+    top_ap: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         depth = 0
+        top_ap = self.index if isinstance(self, AP) else -1
         for kid in children(self):
             if not isinstance(kid, Formula):
                 raise TypeError(f"not a formula: {kid!r}")
             if kid.depth >= depth:
                 depth = kid.depth + 1
+            if kid.top_ap > top_ap:
+                top_ap = kid.top_ap
         if depth > MAX_NESTING:
             raise ParseError(f"formula nests more than {MAX_NESTING} operators deep")
         if isinstance(self, TEMPORAL):
@@ -56,6 +62,7 @@ class Formula:
         elif isinstance(self, AP) and self.index < 0:
             raise ParseError(f"negative AP index {self.index}")
         object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "top_ap", top_ap)
 
 
 @dataclass(frozen=True)
@@ -282,30 +289,24 @@ def _pretty(f: Formula, parent_prec: int) -> str:
 # Parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<punct>[!&|()\[\],])|(?P<num>\d+)|(?P<word>[A-Za-z_][A-Za-z_0-9]*))"
-)
+_TOKEN_RE = re.compile(r"(->|[!&|()\[\],])|(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\S)")
+_AP_RE = re.compile(r"ap(\d+)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, then ("eof", "", len(text)). No group
+    matches whitespace, so finditer skips it; the last group is any other
+    character, reported as unexpected at the end of the token before it."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.lastgroup == "arrow":
-            tokens.append(("->", "->", m.start("arrow")))
-        elif m.lastgroup == "punct":
-            tokens.append((m.group("punct"), m.group("punct"), m.start("punct")))
-        elif m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        else:
-            tokens.append(("word", m.group("word"), m.start("word")))
-        pos = m.end()
+    end = 0
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        value = m[group]
+        if group == 4:
+            raise ParseError(f"unexpected character {value!r}", end)
+        tokens.append((value if group == 1 else "num" if group == 2 else "word",
+                       value, m.start()))
+        end = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -327,9 +328,6 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.parens = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
 
     def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
@@ -354,7 +352,7 @@ class _Parser:
     # Operator chains are loops: the parser recurses only into parentheses.
     def implies(self) -> Formula:
         terms = [self.disjunction()]
-        while self.peek()[0] == "->":
+        while self.tokens[self.i][0] == "->":
             self.next()
             terms.append(self.disjunction())
         f = terms.pop()
@@ -364,14 +362,14 @@ class _Parser:
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
-        while self.peek()[0] == "|":
+        while self.tokens[self.i][0] == "|":
             self.next()
             f = Or(f, self.conjunction())
         return f
 
     def conjunction(self) -> Formula:
         f = self.until()
-        while self.peek()[0] == "&":
+        while self.tokens[self.i][0] == "&":
             self.next()
             f = And(f, self.until())
         return f
@@ -379,7 +377,7 @@ class _Parser:
     def until(self) -> Formula:
         lefts = []
         f = self.unary()
-        while self.peek()[:2] == ("word", "U"):
+        while self.tokens[self.i][:2] == ("word", "U"):
             self.next()
             lefts.append((f, self.interval()))
             f = self.unary()
@@ -389,7 +387,7 @@ class _Parser:
 
     def unary(self) -> Formula:
         prefixes = []
-        while self.peek()[1] in _PREFIX:
+        while self.tokens[self.i][1] in _PREFIX:
             op = _PREFIX[self.next()[1]]
             prefixes.append((op, self.interval() if op in (Box, Diamond) else ()))
         f = self.atom()
@@ -410,7 +408,7 @@ class _Parser:
         if kind == "word":
             if value == "true":
                 return TrueConst()
-            m = re.fullmatch(r"ap(\d+)", value)
+            m = _AP_RE.fullmatch(value)
             if m:
                 return AP(_int(m.group(1), pos))
             raise ParseError(f"unknown name {value!r}", pos)
@@ -421,7 +419,7 @@ def parse(text: str) -> Formula:
     """Parse the concrete syntax described in the module docstring."""
     p = _Parser(text)
     f = p.implies()
-    kind, value, pos = p.peek()
+    kind, value, pos = p.tokens[p.i]
     if kind != "eof":
         raise ParseError(f"unexpected trailing input {value!r}", pos)
     return f

@@ -7,7 +7,8 @@ step an abstract machine computes a five-opcode boolean result and
 conditionally overwrites Maybe cells inside a programmed interval. An
 evaluator machine (EM) is 1-3 such machines sharing one que; it realizes
 exactly one MTL operator, and the values deleted at the que head form its
-verdict stream.
+verdict stream. ``em_shape`` is the one table of operator shapes, which
+the compiler lowers and the loader's tap resolution reads.
 
 Shared-que stepping: the machines' offers are ORed per polarity, pass
 ``check_offers``, and ``que_offer`` digests them into the triple (top,
@@ -22,6 +23,7 @@ and false is a hard fault.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Generator, Optional, Sequence
 
 from .errors import HardFault
@@ -238,16 +240,28 @@ class EvaluatorMachine:
 
 
 def em_build(kind: str, head: int, interval: Optional[Interval] = None) -> EvaluatorMachine:
-    """Instantiate the machine programming for a single MTL operator.
+    """Instantiate the machine programming for a single MTL operator: its
+    ``em_shape`` at a que head of at least ``min_head``."""
+    ams, _ = em_shape(kind, interval)  # a bad kind or interval raises first
+    if head < min_head(kind, interval):
+        raise ValueError(f"head {head} below the minimum {min_head(kind, interval)} for {kind}")
+    return EvaluatorMachine(kind, ams, head)
+
+
+@lru_cache(maxsize=1024)
+def em_shape(kind: str, interval: Optional[Interval] = None) -> tuple:
+    """The one table of operator shapes: the machines realizing one operator
+    and their ``stream_ports`` as tuples, as ``(ams, ports)``. Neither depends
+    on the head, so the table is cached by ``(kind, interval)`` alone, for at
+    most 1,024 shapes.
 
     kind is one of not/and/or/implies/next/box/diamond/until, plus the
     synthetic pass-through 'wire'. Interval operators require interval=(t1,t2);
     until with t1 >= 1 takes three machines, with t1 = 0 two.
 
-    The one table of operator shapes: compiler and fabric read it through
-    ``stream_ports``. Each interval is ``EMPTY_INTERVAL`` or ends at or
-    below t2 (interval operators), at 1 (next) or at 0, so below the minimum
-    head; ``allocate`` copies the intervals into the PE records as they are.
+    Each interval is ``EMPTY_INTERVAL`` or ends at or below t2 (interval
+    operators), at 1 (next) or at 0, so below the minimum head;
+    ``allocate`` copies the intervals into the PE records as they are.
     """
     temporal = kind in ("box", "diamond", "until")
     if temporal:
@@ -284,11 +298,7 @@ def em_build(kind: str, head: int, interval: Optional[Interval] = None) -> Evalu
             )
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
-
-    lo_head = min_head(kind, interval)
-    if head < lo_head:
-        raise ValueError(f"head {head} below the minimum {lo_head} for {kind}")
-    return EvaluatorMachine(kind, ams, head)
+    return ams, tuple(map(tuple, stream_ports(ams)))
 
 
 def stream_ports(ams: Sequence[AmProgram]) -> list[list[tuple[int, int]]]:

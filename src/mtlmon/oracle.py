@@ -69,7 +69,7 @@ def _eval_bits(f: F.Formula, cols: list[int], n: int, mask: int) -> int:
 def _width(f: F.Formula, trace: Trace) -> int:
     """The columns f reads: 1 + its largest AP index, 0 if it has none.
     TraceError if the trace lacks one of them."""
-    top = max(F.ap_indices(f), default=-1)
+    top = f.top_ap
     if trace.width <= top:
         raise TraceError(f"trace width {trace.width} does not cover ap{top}")
     return top + 1

@@ -3,24 +3,25 @@
 These mirror the fabric's programming registers field for field. A PE record
 has no mod-enable flags: a polarity that must never modify carries
 ``machine.EMPTY_INTERVAL`` (1, 0) instead, which the que skips, as the
-``em_build`` machine it lowers does.
+``em_shape`` machine it lowers does.
 
 Routing: the per-PE route fields are AP indices, meaningful only for
 operand slots whose source flag selects the AP bus (0 otherwise). Que-to-PE
 routing is carried by each que's reader fields. The multi-machine until
 realization needs its operand streams at more ports than one reader field
 can name. A reader field names a stream's first port in
-``machine.stream_ports``; ``resolve_operands`` feeds the later ports (taps)
-from ``em_build``'s until shapes, so the register widths stay untouched.
+``machine.em_shape``'s ports; ``resolve_operands`` feeds the later ports
+(taps) from its until shapes, so the register widths stay untouched.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import AllocationError
-from .machine import OPCODE_ARITY, em_build, stream_ports
+from .machine import OPCODE_ARITY, em_shape
 
 OPCODE_BITS = {"wire": 0, "not": 1, "or": 2, "and": 3, "implies": 4}
 OPCODE_NAMES = {v: k for k, v in OPCODE_BITS.items()}
@@ -79,6 +80,18 @@ class FabricConfig:
     @cached_property
     def route_bits(self) -> int:
         return sum(w for _, w in self.route_fields)
+
+    @cached_property
+    def layouts(self) -> tuple:
+        """Per record kind (PE, que, route), as the decoder splits it: the
+        record width and each field's (shift, mask) within the record."""
+        out = []
+        for fields, width in ((self.pe_fields, self.pe_bits), (self.q_fields, self.q_bits),
+                              (self.route_fields, self.route_bits)):
+            ends = accumulate(w for _, w in fields)
+            out.append((width, tuple((width - end, (1 << w) - 1)
+                                     for (_, w), end in zip(fields, ends))))
+        return tuple(out)
 
     @property
     def body_bits(self) -> int:
@@ -163,17 +176,12 @@ def active_ids(records) -> tuple[int, ...]:
     return tuple(i for i, record in enumerate(records) if record.is_active)
 
 
-def slot_from_que(pe: PeConfig, slot: int) -> bool:
-    """Whether operand port slot of pe reads a que (else the AP bus)."""
-    return pe.op0_from_que if slot == 0 else pe.op1_from_que
-
-
 # (opcodes of an until realization's machines, tap) -> the port named for the
 # tap's stream, for both realizations (t1 = 0 and t1 >= 1); ports are (machine, slot).
 _UNTIL_TAPS = {
     (tuple(am.opcode for am in ams), tap): ports[0]
-    for ams in (em_build("until", t1 + 1, (t1, t1)).ams for t1 in (0, 1))
-    for ports in stream_ports(ams)
+    for ams, streams in (em_shape("until", (t1, t1)) for t1 in (0, 1))
+    for ports in streams
     for tap in ports[1:]
 }
 
@@ -219,8 +227,9 @@ def resolve_operands(
     for members in groups.values():
         for m, pid in enumerate(members):
             pe = pes[pid]
+            from_que = pe.op0_from_que, pe.op1_from_que
             for slot in range(OPCODE_ARITY[pe.opcode]):
-                if not slot_from_que(pe, slot) or (pid, slot) in sources:
+                if not from_que[slot] or (pid, slot) in sources:
                     continue
                 shape = tuple(pes[p].opcode for p in members)
                 named = _UNTIL_TAPS.get((shape, (m, slot)))

@@ -346,19 +346,19 @@ def without_operand_wires(monkeypatch):
 def or_machine_one_cell_short(monkeypatch):
     """Inject a compiler defect: until's or machine settles one cell fewer
     false, so its que meets a cell that no writer offers."""
-    em_build = compiler.em_build
+    em_shape = compiler.em_shape
 
-    def short(kind, head, interval=None):
-        em = em_build(kind, head, interval)
+    def short(kind, interval=None):
+        ams, ports = em_shape(kind, interval)
         ams = tuple(
             dataclasses.replace(am, bot_interval=(am.bot_interval[0], am.bot_interval[1] - 1))
             if am.opcode == "or" and kind == "until" and am.bot_interval[0] < am.bot_interval[1]
             else am
-            for am in em.ams
+            for am in ams
         )
-        return dataclasses.replace(em, ams=ams)
+        return ams, ports
 
-    monkeypatch.setattr(compiler, "em_build", short)
+    monkeypatch.setattr(compiler, "em_shape", short)
 
 
 def test_fuzz_reports_mismatches_of_a_compiler_defect(monkeypatch):

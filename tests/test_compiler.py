@@ -185,6 +185,16 @@ def test_head_beyond_que_size_reports_node():
         compile_formula(F.Box(F.AP(0), 0, 20), FabricConfig(4, 4, 4, 16))
 
 
+@pytest.mark.parametrize("q_sz", [4, 5])
+def test_a_head_equal_to_the_que_size_is_an_allocation_error(q_sz):
+    # G[0,t2] needs head t2 + 1, which must stay below the que size.
+    cfg = FabricConfig(4, 4, 2, q_sz)
+    with pytest.raises(AllocationError) as err:
+        compile_formula(F.parse(f"G[0,{q_sz - 1}] ap0"), cfg)
+    assert str(err.value) == f"node 1 (box) needs head {q_sz}, que size is {q_sz}"
+    assert compile_formula(F.parse(f"G[0,{q_sz - 2}] ap0"), cfg).latency == q_sz
+
+
 def test_ap_out_of_range():
     with pytest.raises(AllocationError, match="ap9"):
         compile_formula(F.Not(F.AP(9)), FabricConfig(4, 4, 4, 16))

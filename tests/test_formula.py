@@ -1,4 +1,7 @@
+import collections
 import dataclasses
+import random
+import re
 import sys
 
 import pytest
@@ -42,6 +45,76 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         F.parse("ap0 | zzz")
     assert err.value.position == 6
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<arrow>->)|(?P<punct>[!&|()\[\],])|(?P<num>\d+)|(?P<word>[A-Za-z_][A-Za-z_0-9]*))"
+)
+
+
+def reference_tokenize(text):
+    """The tokenizer as one anchored match per token, the reference for
+    the one-pass tokenizer."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
+        if m.lastgroup == "arrow":
+            tokens.append(("->", "->", m.start("arrow")))
+        elif m.lastgroup == "punct":
+            tokens.append((m.group("punct"), m.group("punct"), m.start("punct")))
+        elif m.lastgroup == "num":
+            tokens.append(("num", m.group("num"), m.start("num")))
+        else:
+            tokens.append(("word", m.group("word"), m.start("word")))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return str(err), err.position
+
+
+# Unicode whitespace (a file separator, a no-break space), a letter and a
+# digit outside ASCII, and pieces of every token kind.
+_TEXT_PIECES = [" ", "\t", "\n", "\x1c", "\xa0", "\u00e9", "\u0663", "ap12", "U[", "->",
+                "-", ">", "!", "&", "|", "(", ")", "[", "]", ",", "0", "42", "ap0", "true",
+                "G", "F", "X", "_x", "?"]
+
+
+def test_the_tokenizer_matches_the_match_loop_reference():
+    rng = random.Random(22)
+    outcomes = collections.Counter()
+    for _ in range(20_000):
+        text = "".join(rng.choice(_TEXT_PIECES) for _ in range(rng.randint(0, 10)))
+        got = _tokens_or_error(F._tokenize, text)
+        assert got == _tokens_or_error(reference_tokenize, text), repr(text)
+        outcomes[isinstance(got, list)] += 1
+    assert min(outcomes.values()) > 2_000  # both outcomes are well exercised
+
+
+@given(formulas())
+@settings(max_examples=300)
+def test_top_ap_is_the_largest_ap_index(f):
+    # dataclasses.replace builds a new node, which computes its own top_ap.
+    if isinstance(f, F.AP):
+        replaced = dataclasses.replace(f, index=f.index + 3)
+    elif isinstance(f, F.TrueConst):
+        replaced = f
+    else:
+        side = "child" if len(F.children(f)) == 1 else "right"
+        replaced = dataclasses.replace(f, **{side: F.AP(9)})
+    for g in (f, replaced):
+        assert g.top_ap == max(F.ap_indices(g), default=-1)
 
 
 N = F.MAX_NESTING

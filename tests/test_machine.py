@@ -21,6 +21,7 @@ from mtlmon.machine import (
     check_offers,
     em_build,
     em_run,
+    em_shape,
     em_step,
     em_step_trace,
     interval_mask,
@@ -321,6 +322,22 @@ def test_machine_intervals_are_record_intervals_below_the_minimum_head(kind):
                     assert iv == EMPTY_INTERVAL, (kind, interval, am)
                 else:
                     assert 0 <= iv[0] <= iv[1] < lo_head, (kind, interval, am)
+
+
+@pytest.mark.parametrize(
+    "kind", ["not", "and", "or", "implies", "wire", "next", "box", "diamond", "until"]
+)
+def test_the_shape_table_is_the_machines_without_a_head(kind):
+    if kind in ("box", "diamond", "until"):
+        grid = [(t1, t2) for t2 in range(9) for t1 in range(t2 + 1)]
+    else:
+        grid = [None]
+    for interval in grid:
+        ams, ports = em_shape(kind, interval)
+        for head in (min_head(kind, interval), min_head(kind, interval) + 3):
+            assert ams == em_build(kind, head, interval).ams
+        assert [list(p) for p in ports] == stream_ports(ams)
+    assert em_shape.cache_info().maxsize is not None  # bounded
 
 
 def test_build_rejects_small_head_and_bad_interval():
