@@ -61,11 +61,12 @@ from .machine import (
     que_run,
 )
 from .program import FabricConfig, MonitorProgram
+from .trace import _Row
 # Unused here, but perfbench/layers.py patches these names in this module.
 from .program import derive_latency, resolve_operands  # noqa: F401
 
-# The event values step accepts, equal to {0, 1}. Stored as bools, so the
-# bool events of a Trace match by identity, which halves the check's cost.
+# The event values step accepts, equal to {0, 1}. The rows of a Trace were
+# checked when it was built, so step checks only their width.
 _BITS = frozenset((False, True))
 
 # Each opcode's truth table, indexed by v0 + 2*v1 (a unary one reads v0).
@@ -247,14 +248,15 @@ class Fabric:
     def step(self, ap_values: Sequence[bool]) -> Optional[tuple[int, bool]]:
         """Run one monitor cycle on one event of n_ap values, each 0 or 1;
         returns (time, verdict) once the pipeline is warm, None during
-        warm-up. A bad event raises TraceError before any que moves; a
-        HardFault stops the fabric until ``begin_reprogram``."""
+        warm-up. A bad event raises TraceError before any que moves; of a
+        row of a ``Trace``, whose values the trace checked, only the width
+        is checked. A HardFault stops the fabric until ``begin_reprogram``."""
         if self.mode != "running":
             raise ProtocolError(f"fabric is in {self.mode} mode")
         cfg = self.config
         if len(ap_values) != cfg.n_ap:
             raise TraceError(f"event width {len(ap_values)} != n_ap {cfg.n_ap}")
-        if not _BITS.issuperset(ap_values):
+        if type(ap_values) is not _Row and not _BITS.issuperset(ap_values):
             raise TraceError("event values must be 0 or 1")
 
         reads = [*ap_values, *self._delivered]

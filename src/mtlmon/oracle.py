@@ -14,9 +14,13 @@ TraceError outside that range. A formula cannot be built nested deeper than
 
 from __future__ import annotations
 
+from struct import unpack
+
 from . import formula as F
 from .errors import TraceError
 from .trace import Trace
+
+_BOOL_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _eval_bits(f: F.Formula, cols: list[int], n: int, mask: int) -> int:
@@ -83,8 +87,10 @@ def oracle_verdicts(f: F.Formula, trace: Trace) -> list[bool]:
         return []
     mask = (1 << n) - 1
     cols = trace.columns(_width(f, trace))
-    bits = _eval_bits(f, cols, n, mask)
-    return [bool(bits >> i & 1) for i in range(defined)]
+    bits = _eval_bits(f, cols, n, mask) & ((1 << defined) - 1)
+    # Bit i is verdict i: its binary digits, least significant first, as bools.
+    digits = format(bits, f"0{defined}b")[::-1].encode()
+    return list(unpack(f"{defined}?", digits.translate(_BOOL_BYTES)))
 
 
 def satisfies(f: F.Formula, trace: Trace, i: int) -> bool:

@@ -143,7 +143,10 @@ class MonitorProgram:
     ``sources`` is ``resolve_operands`` of the records. Without ``found``
     (a program built by hand, or by ``dataclasses.replace``, which never
     carries it over) the ids come from a scan and ``sources`` is None.
-    None of the three takes part in equality.
+    None of the three takes part in equality. A builder that hands
+    ``found`` on has also made sure that at most one active que is the
+    verdict que (the decoder raises BitstreamError, the allocator marks
+    only the root's); without it that is checked here, as a ValueError.
     """
 
     config: FabricConfig
@@ -163,9 +166,9 @@ class MonitorProgram:
             raise ValueError("need one route pair per PE")
         if found is None:
             found = active_ids(self.pes), active_ids(self.qs), None
+            if sum(self.qs[qid].is_verdict for qid in found[1]) > 1:
+                raise ValueError("at most one verdict que")
         pe_ids, q_ids, sources = found
-        if sum(self.qs[qid].is_verdict for qid in q_ids) > 1:
-            raise ValueError("at most one verdict que")
         object.__setattr__(self, "pe_ids", pe_ids)
         object.__setattr__(self, "q_ids", q_ids)
         object.__setattr__(self, "sources", sources)

@@ -8,8 +8,8 @@ header is the empty trace of width 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, field
+from struct import iter_unpack
 from typing import Iterable, Sequence
 
 from .errors import TraceError
@@ -19,9 +19,11 @@ _BIT = {0: False, 1: True}
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _pack(bits: Sequence[bool]) -> int:
-    """Bools as an int bitmask, bit t = bits[t]; 0 for no bits."""
-    return int(bytes(bits[::-1]).translate(_DIGITS) or b"0", 2)
+class _Row(tuple):
+    """A row of bools that a Trace has checked; ``Fabric.step`` trusts its
+    values and checks only its width. Only ``Trace`` makes one."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -31,18 +33,36 @@ class Trace:
     The width is the number of APs per valuation. Left out, it is taken from
     the rows (0 for a trace without rows); given, it must match the rows.
     A value equal to neither 0 nor 1 is a TraceError; values become bools.
+
+    The rows are checked once, when the trace is built: they are joined
+    into one buffer of 0/1 bytes, row after row, and the rows and columns
+    are read back out of it. A row that ``bytes`` refuses (one holding
+    ``1.0``, say) is converted value by value first.
     """
 
     events: tuple[tuple[bool, ...], ...]
     width: int | None = None
+    _bits: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        rows = tuple(self.events)
         try:
-            events = tuple(tuple(map(_BIT.__getitem__, row)) for row in self.events)
-        except (KeyError, TypeError):
-            raise TraceError("AP values must be 0 or 1") from None
-        object.__setattr__(self, "events", events)
-        widths = {len(e) for e in events}
+            lengths = list(map(len, rows))  # first: bytes(5) would be five zeros
+            bits = b"".join(map(bytes, rows))
+        except (TypeError, ValueError):
+            bits = None
+        if bits is None or len(bits) != sum(lengths):
+            # A row that bytes() refuses, or reads as other than one byte a
+            # value (1.0, a str, array("i")): value by value, as bools.
+            try:
+                rows = tuple(tuple(map(_BIT.__getitem__, row)) for row in rows)
+            except (KeyError, TypeError):
+                raise TraceError("AP values must be 0 or 1") from None
+            lengths = list(map(len, rows))
+            bits = b"".join(map(bytes, rows))
+        if bits.translate(None, b"\0\1"):
+            raise TraceError("AP values must be 0 or 1")
+        widths = set(lengths)
         if len(widths) > 1:
             raise TraceError(f"ragged trace: row widths {sorted(widths)}")
         if self.width is None:
@@ -51,22 +71,31 @@ class Trace:
             raise TraceError(f"negative trace width {self.width}")
         elif widths and widths != {self.width}:
             raise TraceError(f"trace width {self.width} != row width {widths.pop()}")
-        if self.events and self.width == 0:
+        if rows and self.width == 0:
             raise TraceError("zero-width trace")
+        if rows:
+            rows = tuple(map(_Row, iter_unpack(f"{lengths[0]}?", bits)))
+        object.__setattr__(self, "events", rows)
+        object.__setattr__(self, "_bits", bits)
 
     def __len__(self) -> int:
         return len(self.events)
 
     def column(self, ap: int) -> int:
-        """The ap-th column packed as an int bitmask, bit t = value at time t."""
-        return _pack([row[ap] for row in self.events])
+        """The ap-th column packed as an int bitmask, bit t = value at time t;
+        ``ap`` indexes like a row does. 0 for a trace without rows."""
+        if not self.events:
+            return 0
+        ap = range(self.width)[ap]  # IndexError past either end
+        return int(self._bits[ap::self.width][::-1].translate(_DIGITS), 2)
 
     def columns(self, width: int) -> list[int]:
-        """Columns 0..width-1 packed as ``column`` packs them, in one
-        transpose; ``width`` is at most the trace's width."""
+        """Columns 0..width-1 packed as ``column`` packs them; ``width`` is
+        at most the trace's width."""
         if not self.events:
             return [0] * width
-        return [_pack(col) for col in islice(zip(*self.events), width)]
+        bits, w = self._bits, self.width
+        return [int(bits[k::w][::-1].translate(_DIGITS), 2) for k in range(min(width, w))]
 
 
 def make_trace(rows: Iterable[Sequence[int | bool]], width: int | None = None) -> Trace:

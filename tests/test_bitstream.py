@@ -222,6 +222,22 @@ def test_second_verdict_que_is_a_bitstream_error():
         decode_program(second_verdict_body(), HOSTILE_CFG)
 
 
+def test_a_second_verdict_que_is_counted_once_on_each_path():
+    # The decoder counts the verdict ques of a body and hands its ids on;
+    # a program built without them counts its own.
+    with pytest.raises(BitstreamError, match="^more than one active verdict que$"):
+        decode_program(second_verdict_body(), HOSTILE_CFG)
+    program = decode_program(encode_program(compile_formula(F.parse("!ap0"), HOSTILE_CFG)),
+                             HOSTILE_CFG)
+    vq = next(qid for qid in program.q_ids if program.qs[qid].is_verdict)
+    spare = next(qid for qid, q in enumerate(program.qs) if not q.is_active)
+    qs = list(program.qs)
+    qs[spare] = qs[vq]
+    with pytest.raises(ValueError, match="^at most one verdict que$") as info:
+        dataclasses.replace(program, qs=tuple(qs))
+    assert not isinstance(info.value, BitstreamError)
+
+
 _CFG2 = FabricConfig(2, 2, 1, 4)
 _VERDICT = QConfig(True, True, 0, 0, 1)
 

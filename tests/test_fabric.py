@@ -223,6 +223,29 @@ def test_an_event_value_reads_by_truth_like_make_trace():
     assert any(runs[0])
 
 
+def test_a_trace_row_skips_only_the_value_check():
+    # A Trace checks its rows once; step still checks their width, and still
+    # checks every value of a row that no Trace made.
+    fabric, _ = loaded_fabric("ap0 U[1,2] ap1", SMALL)
+    with pytest.raises(TraceError, match=f"event width 2 != n_ap {SMALL.n_ap}"):
+        fabric.step(make_trace([[1, 0]]).events[0])
+    for bad in (2, -1, 0.5, None):
+        for kind in (tuple, list):
+            with pytest.raises(TraceError, match="must be 0 or 1"):
+                fabric.step(kind([0, bad] + [1] * (SMALL.n_ap - 2)))
+    assert fabric.mode == "running"
+    rng = random.Random(24)
+    trace = make_trace([[rng.randrange(2) for _ in range(SMALL.n_ap)] for _ in range(60)])
+    copies = [tuple(row) for row in trace.events]
+    floats = [[1.0 if v else 0 for v in row] for row in trace.events]
+    runs = []
+    for rows in (trace.events, copies, floats):
+        fabric, _ = loaded_fabric("ap0 U[1,2] ap1", SMALL)
+        runs.append([fabric.step(row) for row in rows])
+    assert runs[0] == runs[1] == runs[2]
+    assert any(runs[0])
+
+
 @pytest.mark.parametrize("first, bad", [
     ([1, 0, 0], ["x", 1, 0]), ([0, 1, 0], [1, "x", 0]),
     ([1, 0, 0], [-1, 0, 0]), ([0, 1, 0], [2, 0, 0]),

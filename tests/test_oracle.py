@@ -91,3 +91,15 @@ def test_fold_preserves_verdicts_on_defined_range():
             assert reference == [folded] * len(reference)
         else:
             assert oracle_verdicts(folded, tr)[: len(reference)] == reference
+
+
+def test_bitmask_agrees_with_textbook_recursion_on_a_long_trace():
+    rng = random.Random(24)
+    tr = random_trace(rng, 3000, 3)
+    for text in ("ap0 U[2,5] (ap1 | X ap2)", "G[0,3] (ap0 -> F[1,6] !ap2)"):
+        f = F.parse(text)
+        verdicts = oracle_verdicts(f, tr)
+        assert len(verdicts) == 3000 - F.semantic_future(f)
+        assert all(type(v) is bool for v in verdicts)
+        assert verdicts == [satisfies(f, tr, i) for i in range(len(verdicts))]
+        assert 0 < sum(verdicts) < len(verdicts)

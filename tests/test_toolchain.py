@@ -90,6 +90,9 @@ AGREEING = [(0, True), (1, False), (2, True)]
     # expected times that never arrived, with and without a reference verdict
     (AGREEING[:1], range(3), [(1, None, False), (2, None, True)]),
     (AGREEING, range(6), [(3, None, False), (4, None, None), (5, None, None)]),
+    # a schedule that starts late: each time reads its own reference verdict
+    ([(1, True), (2, False), (3, True)], range(1, 4),
+     [(1, True, False), (2, False, True), (3, True, False)]),
 ])
 def test_diff_verdicts_names_each_kind_of_mismatch(emitted, expected_times, mismatches):
     assert diff_verdicts(emitted, REFERENCE, expected_times) == mismatches
