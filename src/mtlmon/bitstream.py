@@ -48,8 +48,8 @@ def encode_program(prog: MonitorProgram) -> bytes:
     ):
         width = sum(w for _, w in fields)
         for index, record in enumerate(records):
-            if record is inactive or record == inactive:
-                continue  # all zeros
+            if record is inactive:
+                continue  # all zeros; an equal copy packs to 0 below
             word = 0
             for value, (name, w) in zip(values(index, record), fields):
                 if value >> w:  # also true for a negative value

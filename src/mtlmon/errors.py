@@ -37,9 +37,9 @@ class HardFault(RuntimeError):
     deleted an unresolved cell at its head, one cycle's offers of one
     polarity to a que left a cell uncovered inside their span, or one
     cycle's writers offered an unknown cell both true and false. The golden
-    model and the fabric share the que rules, ``machine.check_offers`` for
-    the gap and ``machine.que_run`` on the ``machine.que_offer`` digest for
-    the rest, so either can raise each;
+    model and the fabric share the rules, ``machine.group_offer`` (whose
+    ``machine.check_offers`` tests the gap) and ``machine.que_run`` on its
+    ``machine.que_offer`` digest, so either can raise each;
     the fabric's message names the que too. Signals a misprogrammed
     monitor, never user error."""
 

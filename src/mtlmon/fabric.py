@@ -16,10 +16,11 @@ interconnect phases:
 3. PE -> que: the que ORs its writers' offers per polarity into a single
    top mask and a single bottom mask, which ``machine.check_offers`` tests
    for gaps and ``machine.que_offer`` digests into the triple (top, both,
-   rest) that the que rule takes. Phases 2-3 are a fixed function of the
-   operand values the que's writers read, so each que memoizes it: the
-   first cycle that meets a combination of those values runs the writers
-   and stores the digest (or the idle), and later cycles look it up.
+   rest) that the que rule takes. Phases 2-3 are ``machine.group_offer``,
+   which the golden model runs too, a fixed function of the operand values
+   the que's writers read, so each que memoizes them: the first cycle that
+   meets a combination of those values runs the writers and stores the
+   digest (or the idle), and later cycles look it up.
 4. que: the que takes one cycle of its ``machine.que_run`` generator on
    that digest, the que-update rule the golden model runs too (add,
    conflict test on cells offered true and false, modify, delete at its
@@ -50,52 +51,11 @@ from typing import Optional, Sequence
 
 from .bitstream import decode_program
 from .errors import AllocationError, HardFault, ProtocolError, TraceError
-from .machine import (
-    OPCODE_ARITY,
-    QueState,
-    am_result,
-    check_offers,
-    interval_mask,
-    que_offer,
-    que_peek,
-    que_run,
-)
+from .machine import OPCODE_ARITY, QueState, group_offer, que_peek, que_run, writer
 from .program import FabricConfig, MonitorProgram
-from .trace import _Row
+from .trace import _Row, _VALUES
 # Unused here, but perfbench/layers.py patches these names in this module.
 from .program import derive_latency, resolve_operands  # noqa: F401
-
-# The event values step accepts, equal to {0, 1}. The rows of a Trace were
-# checked when it was built, so step checks only their width.
-_BITS = frozenset((False, True))
-
-# Each opcode's truth table, indexed by v0 + 2*v1 (a unary one reads v0).
-_TABLES = {
-    op: tuple(am_result(op, *(bool(i & 1), bool(i & 2))[:arity]) for i in range(4))
-    for op, arity in OPCODE_ARITY.items()
-}
-
-
-def _offer(writers: list, reads: list) -> Optional[tuple[int, int, int]]:
-    """What a que's writers offer on one read vector: None when none of them
-    has all its operands (the que idles), else their (bottom, top) masks ORed
-    per polarity, which must pass ``check_offers``, as the ``que_offer``
-    triple that ``que_run`` takes. A value is read by its truth, so 1.0
-    reads as 1. ``step`` memoizes the result per key."""
-    offer = None
-    for table, i0, i1, masks in writers:
-        v0 = reads[i0]
-        v1 = reads[i1]
-        if v0 is None or v1 is None:
-            continue
-        res = table[bool(v0) + 2 * bool(v1)]
-        if offer is None:
-            offer = [0, 0]
-        offer[res] |= masks[res]
-    if offer is None:
-        return None
-    check_offers(*offer)
-    return que_offer(*offer)
 
 
 class Fabric:
@@ -162,11 +122,10 @@ class Fabric:
         sources one from it); ``step`` emits its value.
         ``key`` is an itemgetter over the vector slots the que's writers
         read, and ``memo`` maps each key met so far to the ``que_offer``
-        digest that ``send`` takes, or None for an idle que (see
-        ``_offer``). A writer is its truth table from ``_TABLES``, indexed
-        by v0 + 2*v1; the vector slots of its two operand ports, a unary PE
-        reading its one port twice and so using entries 0 and 3; and its
-        (bottom, top) interval masks, indexed by its result.
+        digest that ``send`` takes, or None for an idle que, as
+        ``machine.group_offer`` computes it from the que's writers. Each
+        PE's writer is ``machine.writer`` of its opcode, the vector slots
+        of its operand ports and its intervals.
         """
         cfg = self.config
         n_ap = cfg.n_ap
@@ -195,9 +154,8 @@ class Fabric:
                 if ap >= n_ap:
                     raise AllocationError(f"PE{pid} operand {slot} reads ap{ap}, n_ap={n_ap}")
                 ports.append(ap)
-            masks = (interval_mask(pe.bot_interval), interval_mask(pe.top_interval))
-            writer = (_TABLES[pe.opcode], ports[0], ports[-1], masks)
-            writers.setdefault(pe.r_qid, []).append(writer)
+            writers.setdefault(pe.r_qid, []).append(
+                writer(pe.opcode, ports[0], ports[-1], pe.top_interval, pe.bot_interval))
         for qid in q_ids:
             q = qs[qid]
             if q.head >= cfg.q_sz:
@@ -256,7 +214,7 @@ class Fabric:
         cfg = self.config
         if len(ap_values) != cfg.n_ap:
             raise TraceError(f"event width {len(ap_values)} != n_ap {cfg.n_ap}")
-        if type(ap_values) is not _Row and not _BITS.issuperset(ap_values):
+        if type(ap_values) is not _Row and not _VALUES.issuperset(ap_values):
             raise TraceError("event values must be 0 or 1")
 
         reads = [*ap_values, *self._delivered]
@@ -267,7 +225,7 @@ class Fabric:
                 try:
                     offer = memo[k]
                 except KeyError:
-                    offer = memo[k] = _offer(writers, reads)
+                    offer = memo[k] = group_offer(writers, reads)
                 # An idle que neither adds nor deletes: it skips its cycle.
                 delivered.append(None if offer is None else send(offer))
         except HardFault as fault:

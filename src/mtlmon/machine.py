@@ -10,12 +10,12 @@ exactly one MTL operator, and the values deleted at the que head form its
 verdict stream. ``em_shape`` is the one table of operator shapes, which
 the compiler lowers and the loader's tap resolution reads.
 
-Shared-que stepping: the machines' offers are ORed per polarity, pass
-``check_offers``, and ``que_offer`` digests them into the triple (top,
-both, rest) on which the que takes one cycle of ``que_run``: a warm-up
-phase that fills the que, then a full phase that deletes one cell a cycle.
-That is the only que-update rule: the fabric runs it too, so the order of
-the machines does not matter.
+Shared-que stepping: ``group_offer``, the one offer rule, ORs the machines'
+offers (``writer`` tuples) per polarity, tests them with ``check_offers``,
+and ``que_offer`` digests them into the triple (top, both, rest) on which
+the que takes one cycle of ``que_run``: a warm-up phase that fills the que,
+then a full phase that deletes one cell a cycle. The fabric runs both
+rules too, so the order of the machines does not matter.
 Overlapping offers of one polarity are harmless; a cell offered both true
 and false is a hard fault.
 """
@@ -103,6 +103,44 @@ def que_offer(bot: int, top: int) -> tuple[int, int, int]:
     mask, the cells offered both true and false, and the cells offered
     neither. A pure function of the masks, with no gap test."""
     return top, top & bot, ~(top | bot)
+
+
+# Each opcode's truth table, indexed by v0 + 2*v1 (a unary one reads v0).
+_TABLES = {
+    op: tuple(am_result(op, *(bool(i & 1), bool(i & 2))[:arity]) for i in range(4))
+    for op, arity in OPCODE_ARITY.items()
+}
+
+
+def writer(opcode: str, i0: int, i1: Optional[int], top: Interval, bot: Interval) -> tuple:
+    """One machine of a writer group as ``group_offer`` takes it: its truth
+    table, indexed by v0 + 2*v1; the read-vector indices of its operands, a
+    unary machine (``i1`` None) reading ``i0`` twice and so using entries 0
+    and 3; and its (bottom, top) interval masks, indexed by its result."""
+    return (_TABLES[opcode], i0, i0 if i1 is None else i1,
+            (interval_mask(bot), interval_mask(top)))
+
+
+def group_offer(writers: Sequence[tuple], reads: Sequence) -> Optional[tuple[int, int, int]]:
+    """What a que's writers offer on one read vector: None when none of them
+    has all its operands (the que idles), else their (bottom, top) masks ORed
+    per polarity, which must pass ``check_offers``, as the ``que_offer``
+    triple that ``que_run`` takes. A value is read by its truth, so 1.0
+    reads as 1. The golden model and the fabric both call it."""
+    offer = None
+    for table, i0, i1, masks in writers:
+        v0 = reads[i0]
+        v1 = reads[i1]
+        if v0 is None or v1 is None:
+            continue
+        res = table[bool(v0) + 2 * bool(v1)]
+        if offer is None:
+            offer = [0, 0]
+        offer[res] |= masks[res]
+    if offer is None:
+        return None
+    check_offers(*offer)
+    return que_offer(*offer)
 
 
 class _Peek(Exception):
@@ -333,33 +371,31 @@ class StepTrace:
 def em_step_trace(
     em: EvaluatorMachine, q: QueState, op0: bool, op1: Optional[bool] = None
 ) -> tuple[QueState, StepTrace]:
+    """One step of ``em`` on que ``q``: its machines offer through
+    ``group_offer``, as a fabric's PEs do, and the que takes a ``que_run`` cycle."""
     if em.arity == 2 and op1 is None:
         raise ValueError(f"{em.kind} needs two operand values")
     if em.arity == 1 and op1 is not None:
         raise ValueError(f"{em.kind} takes one operand value")
     assert q.occupancy <= em.head, "occupancy exceeded head"
     operands = (op0, op1)
-    results = []
-    fired = []
-    offer = [0, 0]  # [bottom mask, top mask]
-    for am in em.ams:
-        res = am_result(
-            am.opcode, operands[am.op0], None if am.op1 is None else operands[am.op1]
-        )
-        results.append(res)
-        interval = am.top_interval if res else am.bot_interval
-        if not is_empty(interval):
-            offer[res] |= interval_mask(interval)
-            fired.append((res, interval))
+    results = tuple(
+        am_result(am.opcode, operands[am.op0], None if am.op1 is None else operands[am.op1])
+        for am in em.ams
+    )
+    chosen = [(res, am.top_interval if res else am.bot_interval)
+              for am, res in zip(em.ams, results)]
+    fired = tuple((res, interval) for res, interval in chosen if not is_empty(interval))
     after_add = (MAYBE,) + q.cells
-    check_offers(*offer)
+    writers = [writer(am.opcode, am.op0, am.op1, am.top_interval, am.bot_interval)
+               for am in em.ams]
     run = que_run(em.head, (q.occupancy, q.unknown, q.value))
     next(run)
-    verdict = run.send(que_offer(*offer))
+    verdict = run.send(group_offer(writers, operands))
     q = que_peek(run)
     after_del = q.cells
     after_modify = after_del if verdict is None else after_del + (verdict,)
-    return q, StepTrace(tuple(results), after_add, tuple(fired), after_modify, after_del, verdict)
+    return q, StepTrace(results, after_add, fired, after_modify, after_del, verdict)
 
 
 def em_step(

@@ -16,6 +16,7 @@ from .errors import TraceError
 
 
 _BIT = {0: False, 1: True}
+_VALUES = frozenset((0, 1))  # the values of a file's row and of a step's event
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
@@ -127,7 +128,7 @@ def read_trace(path: str) -> Trace:
             raise TraceError(f"{path}: non-numeric cell in row {expected_t}") from exc
         if t != expected_t:
             raise TraceError(f"{path}: times must be consecutive from 0, got {t}")
-        if any(v not in (0, 1) for v in values):
+        if not _VALUES.issuperset(values):
             raise TraceError(f"{path}: AP values must be 0 or 1 in row {t}")
         rows.append(values)
     return make_trace(rows, width)

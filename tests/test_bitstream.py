@@ -79,8 +79,8 @@ def test_roundtrip_of_compiled_programs():
 
 def test_unused_routes_are_the_shared_inactive_record():
     # The encoder skips a record that is its section's inactive record by
-    # identity before it compares; the compiler and the decoder fill every
-    # unused route with that one object.
+    # identity; the compiler and the decoder fill every unused route with
+    # that one object.
     rng = random.Random(8)
     for cfg in (FabricConfig(16, 16, 8, 64), FabricConfig(256, 256, 16, 4096)):
         done = 0
@@ -95,6 +95,26 @@ def test_unused_routes_are_the_shared_inactive_record():
                 assert len(unused) >= cfg.n_pe - 16
                 assert all(route is INACTIVE_ROUTE for route in unused)
             done += 1
+
+
+def test_equal_copies_of_the_inactive_records_encode_like_the_shared_ones():
+    # The encoder skips only the shared inactive records; an equal copy is
+    # packed as the all-zero word it is.
+    cfg = FabricConfig(16, 16, 8, 64)
+    program = compile_formula(F.parse("ap0 U[1,3] (ap1 & X ap2)"), cfg)
+    copied = MonitorProgram(
+        cfg,
+        tuple(dataclasses.replace(pe) if pe is INACTIVE_PE else pe for pe in program.pes),
+        tuple(dataclasses.replace(q) if q is INACTIVE_Q else q for q in program.qs),
+        tuple(tuple([*r]) if r is INACTIVE_ROUTE else r for r in program.routes),
+        program.latency,
+    )
+    for records, inactive in ((copied.pes, INACTIVE_PE), (copied.qs, INACTIVE_Q),
+                              (copied.routes, INACTIVE_ROUTE)):
+        assert any(record == inactive for record in records)
+        assert not any(record is inactive for record in records)
+    assert copied == program
+    assert encode_program(copied) == encode_program(program)
 
 
 def test_all_zero_body_is_all_inactive():

@@ -24,6 +24,7 @@ from mtlmon.machine import (
     em_shape,
     em_step,
     em_step_trace,
+    group_offer,
     interval_mask,
     is_empty,
     min_head,
@@ -31,6 +32,7 @@ from mtlmon.machine import (
     que_peek,
     que_run,
     stream_ports,
+    writer,
 )
 from mtlmon.oracle import oracle_verdicts
 from mtlmon.program import (
@@ -705,6 +707,65 @@ def test_golden_model_and_fabric_agree_on_random_writer_groups():
             faults[golden[-1].split(" cell")[0]] += 1
     assert faults["top and bot offers both settle"] > 0
     assert faults["deleted unresolved"] > 0
+
+
+def reference_offer(group, reads):
+    """The golden model's own OR loop before ``group_offer`` was shared: each
+    writer (opcode, i0, i1, top, bot), i1 None for a unary one, whose
+    operands are all present offers the interval its result selects."""
+    offer = None
+    for opcode, i0, i1, top, bot in group:
+        operands = [reads[i0]] if i1 is None else [reads[i0], reads[i1]]
+        if any(v is None for v in operands):
+            continue
+        res = am_result(opcode, *map(bool, operands))
+        if offer is None:
+            offer = [0, 0]  # [bottom mask, top mask]
+        interval = top if res else bot
+        if not is_empty(interval):
+            offer[res] |= interval_mask(interval)
+    if offer is None:
+        return None
+    check_offers(*offer)
+    return que_offer(*offer)
+
+
+def test_group_offer_ors_a_writer_group_as_the_reference_does():
+    # Seeded groups of 1-3 writers of every opcode over a read vector of
+    # None, False, True and 1.0, with empty, overlapping, gapped and
+    # clashing intervals: the same triple or None, or the same fault.
+    rng = random.Random(25)
+
+    def interval():
+        lo, hi = rng.randrange(6), rng.randrange(6)
+        return EMPTY_INTERVAL if rng.random() < 0.25 else (min(lo, hi), max(lo, hi))
+
+    def outcome(offer, *args):
+        try:
+            return offer(*args)
+        except HardFault as fault:
+            return str(fault)
+
+    seen = collections.Counter()
+    for _ in range(400):
+        reads = [rng.choice([None, False, True, 1.0]) for _ in range(4)]
+        group = []
+        for _ in range(rng.randint(1, 3)):
+            opcode = rng.choice(sorted(OPCODE_ARITY))
+            i1 = rng.randrange(4) if OPCODE_ARITY[opcode] == 2 else None
+            group.append((opcode, rng.randrange(4), i1, interval(), interval()))
+        want = outcome(reference_offer, group, reads)
+        got = outcome(group_offer, [writer(*w) for w in group], reads)
+        assert got == want, (group, reads)
+        if want is None:
+            seen["idle"] += 1
+        elif isinstance(want, str):
+            seen["gap"] += 1
+        else:
+            top, both, rest = want
+            seen["clash" if both else "offer"] += 1
+            seen["both polarities"] += top != 0 and ~(top | rest) != 0
+    assert min(seen[k] for k in ("idle", "gap", "clash", "offer", "both polarities")) >= 10, seen
 
 
 def test_occupancy_never_exceeds_head_plus_one():

@@ -88,6 +88,18 @@ def test_malformed_files_are_rejected(tmp_path, content):
         read_trace(str(path))
 
 
+@pytest.mark.parametrize("content, message", [
+    ("time,ap0,ap1\n0,1,0\n1,0,2\n2,1,1\n4,0,0\n", "AP values must be 0 or 1 in row 1"),
+    ("time,ap0,ap1\n0,1,0\n2,0,0\n2,1,1\n3,0,9\n",
+     "times must be consecutive from 0, got 2"),
+])
+def test_a_file_reports_its_first_bad_row(tmp_path, content, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(content)
+    with pytest.raises(TraceError, match=f"^{path}: {message}$"):
+        read_trace(str(path))
+
+
 def test_file_that_is_not_utf8_is_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"time,ap0\n0,1\xff\n")
