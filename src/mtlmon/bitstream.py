@@ -41,12 +41,12 @@ def encode_program(prog: MonitorProgram) -> bytes:
     """Pack the body bits (no header), zero-padded to a whole byte."""
     cfg = prog.config
     body, end = 0, 8 * cfg.body_bytes  # end: bits from a section's start to the body's end
-    for records, inactive, values, fields, kind in (
-        (prog.pes, INACTIVE_PE, _pe_values, cfg.pe_fields, "PE"),
-        (prog.qs, INACTIVE_Q, _q_values, cfg.q_fields, "Q"),
-        (prog.routes, INACTIVE_ROUTE, lambda _, route: route, cfg.route_fields, "PE"),
+    for records, inactive, values, fields, width, kind in (
+        (prog.pes, INACTIVE_PE, _pe_values, cfg.pe_fields, cfg.pe_bits, "PE"),
+        (prog.qs, INACTIVE_Q, _q_values, cfg.q_fields, cfg.q_bits, "Q"),
+        (prog.routes, INACTIVE_ROUTE, lambda _, route: route, cfg.route_fields, cfg.route_bits,
+         "PE"),
     ):
-        width = sum(w for _, w in fields)
         for index, record in enumerate(records):
             if record is inactive:
                 continue  # all zeros; an equal copy packs to 0 below

@@ -22,7 +22,6 @@ from .program import (
     MonitorProgram,
     PeConfig,
     QConfig,
-    derive_latency,
 )
 
 # ---------------------------------------------------------------------------
@@ -47,7 +46,8 @@ class EmNode:
 
     operands are AP indices (int) or child EmNodes; em_index numbers the
     nodes breadth-first from the root starting at 1, which is also the
-    reverse of PE/que assignment order.
+    reverse of PE/que assignment order. height is head + 1 + the tallest
+    child's height; the root's is the monitor's latency.
     """
 
     kind: str
@@ -91,32 +91,23 @@ def _to_node(f: F.Formula) -> EmNode | int:
     return EmNode(_KIND[type(f)], interval, operands)
 
 
-def compute_heads(node: EmNode) -> tuple[int, int]:
-    """Assign each node its que head and subtree height, bottom-up.
+def compute_heads(node: EmNode) -> int:
+    """Assign each node its que head and height bottom-up; return the height.
 
-    A leaf (all operands APs) has height head+1. A unary node adds its
-    child's height. A binary node first equalizes its children: the
+    A node's height is head + 1 + its tallest child's height (0 when all
+    its operands are APs). A binary node first equalizes its children: the
     shorter child's head is raised by the height difference, so both
     operand streams reach this node with identical delay.
     """
     node.head = node.min_head
     kids = node.children()
-    if not kids:
-        node.height = node.head + 1
-    elif len(kids) == 1:
-        _, child_height = compute_heads(kids[0])
-        node.height = node.head + 1 + child_height
-    else:
-        lh = compute_heads(kids[0])[1]
-        rh = compute_heads(kids[1])[1]
-        if lh < rh:
-            kids[0].head += rh - lh
-            kids[0].height = rh
-        elif rh < lh:
-            kids[1].head += lh - rh
-            kids[1].height = lh
-        node.height = node.head + 1 + max(lh, rh)
-    return node.head, node.height
+    heights = [compute_heads(kid) for kid in kids]
+    tallest = max(heights, default=0)
+    for kid, height in zip(kids, heights):
+        kid.head += tallest - height
+        kid.height = tallest
+    node.height = node.head + 1 + tallest
+    return node.height
 
 
 def bfs_order(root: EmNode) -> list[EmNode]:
@@ -133,18 +124,22 @@ def bfs_order(root: EmNode) -> list[EmNode]:
 
 def force_heads(root: EmNode, forced: dict[int, int]) -> None:
     """Override chosen heads by em_index (debugging aid for mis-balanced
-    monitors). Nothing is rebalanced, and the node heights keep their
-    balanced values: ``allocate`` derives the latency from the records."""
-    nodes = {node.em_index: node for node in bfs_order(root)}
+    monitors), then re-measure every height bottom-up, so that the root's
+    height stays the latency. Nothing is rebalanced. Every entry is checked
+    before any head changes."""
+    order = bfs_order(root)
+    nodes = {node.em_index: node for node in order}
     for em_index, head in forced.items():
         if em_index not in nodes:
             raise AllocationError(f"no evaluator node {em_index}")
-        node = nodes[em_index]
-        if head < node.min_head:
+        floor = nodes[em_index].min_head
+        if head < floor:
             raise AllocationError(
-                f"forced head {head} below minimum {node.min_head} for node {em_index}"
+                f"forced head {head} below minimum {floor} for node {em_index}"
             )
-        node.head = head
+    for node in reversed(order):
+        node.head = forced.get(node.em_index, node.head)
+        node.height = node.head + 1 + max((kid.height for kid in node.children()), default=0)
 
 
 def plan(f: F.Formula) -> EmNode:
@@ -160,22 +155,22 @@ def plan(f: F.Formula) -> EmNode:
 # ---------------------------------------------------------------------------
 
 def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
-    """Assign PEs/ques in reverse breadth-first order and lower to records.
+    """Assign PEs/ques and lower to records in one reverse breadth-first pass.
 
     Each node takes the next free que and one consecutive PE per machine
-    of its ``em_shape``, in that order. Each PE record takes its
-    machine's intervals unchanged: they end below the node's head, which is
-    below the que size. The root que is the verdict que. Operand routes
-    carry the AP index, which ``compile_formula`` has checked against the
-    fabric, or the child's que id; a child que's reader fields
-    name the first port of its stream in the shape's ports, and the fabric
-    derives the taps.
+    of its ``em_shape``, in that order. Children come before their parent,
+    so a child's que id is known when the parent is lowered. Each PE
+    record takes its machine's intervals unchanged: they end below the
+    node's head, which is below the que size. The root que is the verdict
+    que. Operand routes carry the AP index, which ``compile_formula`` has
+    checked against the fabric, or the child's que id; a child que's reader
+    fields name the first port of its stream in the shape's ports, and the
+    fabric derives the taps.
 
-    As it lowers, it records the que of every que-fed port: each port
-    the shape lists for an operand stream reads that operand's que,
-    which is what ``resolve_operands`` would find in the records. So the
-    latency is derived from those sources, with no resolution, and the
-    program carries them with its active ids.
+    The latency is the root's height, which ``compute_heads`` and
+    ``force_heads`` keep equal to the height of the verdict que. The
+    program carries its active ids; only the decoder resolves which que
+    feeds each port, for the fabric.
     """
     order = bfs_order(root)
     lowering = [(n, *em_shape(n.kind, n.interval)) for n in reversed(order)]
@@ -189,44 +184,34 @@ def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
             f"Q exhaustion: formula needs {len(order)} ques, fabric has {cfg.n_q}"
         )
 
+    pes: list[PeConfig] = [INACTIVE_PE] * cfg.n_pe
+    qs: list[QConfig] = [INACTIVE_Q] * cfg.n_q
+    routes: list[tuple[int, int]] = [INACTIVE_ROUTE] * cfg.n_pe
     next_pe = 0
-    next_q = 0
-    for node, ams, _ in lowering:
+    for q_id, (node, ams, streams) in enumerate(lowering):
         if node.head >= cfg.q_sz:
             raise AllocationError(
                 f"node {node.em_index} ({node.kind}) needs head {node.head}, "
                 f"que size is {cfg.q_sz}"
             )
-        node.q_id = next_q
-        next_q += 1
+        node.q_id = q_id
         node.pe_ids = list(range(next_pe, next_pe + len(ams)))
         next_pe += len(ams)
-
-    pes: list[PeConfig] = [INACTIVE_PE] * cfg.n_pe
-    qs: list[QConfig] = [INACTIVE_Q] * cfg.n_q
-    routes: list[tuple[int, int]] = [INACTIVE_ROUTE] * cfg.n_pe
-    qs[root.q_id] = QConfig(True, True, 0, 0, root.head)
-    sources: dict[tuple[int, int], int] = {}
-
-    for node, ams, streams in lowering:
         for operand, ports in zip(node.operands, streams):
             if isinstance(operand, EmNode):
                 m, slot = ports[0]
                 qs[operand.q_id] = QConfig(True, False, node.pe_ids[m], slot, operand.head)
-                for m, slot in ports:
-                    sources[(node.pe_ids[m], slot)] = operand.q_id
         for am, pe_id in zip(ams, node.pe_ids):
             op0 = node.operands[am.op0]
             op1 = 0 if am.op1 is None else node.operands[am.op1]  # slot 1 of a unary PE: route 0
             que0, que1 = isinstance(op0, EmNode), isinstance(op1, EmNode)
-            pes[pe_id] = PeConfig(True, que0, que1, am.opcode, node.q_id,
+            pes[pe_id] = PeConfig(True, que0, que1, am.opcode, q_id,
                                   am.top_interval, am.bot_interval)
             routes[pe_id] = (0 if que0 else op0, 0 if que1 else op1)
+    qs[root.q_id] = QConfig(True, True, 0, 0, root.head)
 
-    pes_t, qs_t = tuple(pes), tuple(qs)
-    pe_ids, q_ids = tuple(range(next_pe)), tuple(range(next_q))
-    latency = derive_latency(pes_t, qs_t, sources, pe_ids, q_ids)
-    return MonitorProgram(cfg, pes_t, qs_t, tuple(routes), latency, (pe_ids, q_ids, sources))
+    return MonitorProgram(cfg, tuple(pes), tuple(qs), tuple(routes), root.height,
+                          (tuple(range(next_pe)), tuple(range(len(order))), None))
 
 
 def compile_formula(

@@ -89,7 +89,10 @@ class Fabric:
 
     def load(self, body: Sequence[int]) -> None:
         """Shift bytes in, one programming cycle each, taking those up to the
-        end of the body in one slice; a byte past the latch is a ProtocolError."""
+        end of the body in one slice; a byte past the latch is a ProtocolError.
+        A body that fails to decode or latch raises once its bytes have counted
+        as programming cycles; the port stays open with an empty buffer, and
+        the call's later bytes are not shifted in."""
         if body and self.mode != "programming":
             raise ProtocolError(f"configuration byte while {self.mode}; begin_reprogram first")
         need = self._body_bytes - len(self._buffer)

@@ -23,8 +23,8 @@ from .trace import Trace
 _BOOL_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _eval_bits(f: F.Formula, cols: list[int], n: int, mask: int) -> int:
-    """Truth bitmask of f over times 0..n-1.
+def _eval_bits(f: F.Formula, cols: list[int], mask: int) -> int:
+    """Truth bitmask of f over the times of ``mask``, one set bit per time.
 
     Bits at positions within semantic_future(f) of the end are garbage
     (shifts pull in zeros); callers truncate to the defined range.
@@ -34,32 +34,32 @@ def _eval_bits(f: F.Formula, cols: list[int], n: int, mask: int) -> int:
     if isinstance(f, F.AP):
         return cols[f.index]
     if isinstance(f, F.Not):
-        return ~_eval_bits(f.child, cols, n, mask) & mask
+        return ~_eval_bits(f.child, cols, mask) & mask
     if isinstance(f, F.And):
-        return _eval_bits(f.left, cols, n, mask) & _eval_bits(f.right, cols, n, mask)
+        return _eval_bits(f.left, cols, mask) & _eval_bits(f.right, cols, mask)
     if isinstance(f, F.Or):
-        return _eval_bits(f.left, cols, n, mask) | _eval_bits(f.right, cols, n, mask)
+        return _eval_bits(f.left, cols, mask) | _eval_bits(f.right, cols, mask)
     if isinstance(f, F.Implies):
-        l = _eval_bits(f.left, cols, n, mask)
-        r = _eval_bits(f.right, cols, n, mask)
+        l = _eval_bits(f.left, cols, mask)
+        r = _eval_bits(f.right, cols, mask)
         return (~l & mask) | r
     if isinstance(f, F.Next):
-        return _eval_bits(f.child, cols, n, mask) >> 1
+        return _eval_bits(f.child, cols, mask) >> 1
     if isinstance(f, F.Box):
-        c = _eval_bits(f.child, cols, n, mask)
+        c = _eval_bits(f.child, cols, mask)
         acc = mask
         for d in range(f.lo, f.hi + 1):
             acc &= c >> d
         return acc
     if isinstance(f, F.Diamond):
-        c = _eval_bits(f.child, cols, n, mask)
+        c = _eval_bits(f.child, cols, mask)
         acc = 0
         for d in range(f.lo, f.hi + 1):
             acc |= c >> d
         return acc
     if isinstance(f, F.Until):
-        l = _eval_bits(f.left, cols, n, mask)
-        r = _eval_bits(f.right, cols, n, mask)
+        l = _eval_bits(f.left, cols, mask)
+        r = _eval_bits(f.right, cols, mask)
         acc = 0
         prefix = mask  # "left held at all offsets < d", starting vacuously true
         for d in range(0, f.hi + 1):
@@ -87,7 +87,7 @@ def oracle_verdicts(f: F.Formula, trace: Trace) -> list[bool]:
         return []
     mask = (1 << n) - 1
     cols = trace.columns(_width(f, trace))
-    bits = _eval_bits(f, cols, n, mask) & ((1 << defined) - 1)
+    bits = _eval_bits(f, cols, mask) & ((1 << defined) - 1)
     # Bit i is verdict i: its binary digits, least significant first, as bools.
     digits = format(bits, f"0{defined}b")[::-1].encode()
     return list(unpack(f"{defined}?", digits.translate(_BOOL_BYTES)))

@@ -139,13 +139,15 @@ class MonitorProgram:
     The decoder and the allocator hand on what they learn while they build
     the records, as ``found`` = (pe_ids, q_ids, sources), so that no later
     step scans every record or resolves the operands again: ``pe_ids`` and
-    ``q_ids`` are the ids of the active PE and que records, ascending, and
-    ``sources`` is ``resolve_operands`` of the records. Without ``found``
-    (a program built by hand, or by ``dataclasses.replace``, which never
-    carries it over) the ids come from a scan and ``sources`` is None.
-    None of the three takes part in equality. A builder that hands
-    ``found`` on has also made sure that at most one active que is the
-    verdict que (the decoder raises BitstreamError, the allocator marks
+    ``q_ids`` are the ids of the active PE and que records, ascending.
+    ``sources`` is the decoder's ``resolve_operands`` of the records, the
+    only resolution ``Fabric._latch`` reads. It is None on a compiled
+    program (``allocate`` takes the latency from the planned tree and
+    resolves nothing) and on one built without ``found`` (by hand, or by
+    ``dataclasses.replace``, which never carries it over), whose ids come
+    from a scan. None of the three takes part in equality. A builder that
+    hands ``found`` on has also made sure that at most one active que is
+    the verdict que (the decoder raises BitstreamError, the allocator marks
     only the root's); without it that is checked here, as a ValueError.
     """
 
@@ -204,8 +206,7 @@ def resolve_operands(
 
     ``pe_ids`` and ``q_ids`` are the ids of the active records, ascending,
     as the decoder finds them; without them the records are scanned.
-    ``decode_program`` calls this once per load, and ``allocate`` not at
-    all: it records each port's que as it lowers.
+    ``decode_program`` calls this once per load; compiling never does.
     """
     if pe_ids is None:
         pe_ids = active_ids(pes)
@@ -268,9 +269,10 @@ def derive_latency(
 
     ``sources`` is ``resolve_operands`` of the records, resolved here when
     it is not given; ``pe_ids`` and ``q_ids`` are the active ids, as there.
-    Compiling derives the latency once, from the sources ``allocate``
-    records as it lowers; loading derives it once, in ``decode_program``,
-    from its own resolution, and the fabric takes ``MonitorProgram.latency``.
+    Loading derives the latency once, in ``decode_program``, from its own
+    resolution, and the fabric takes ``MonitorProgram.latency``. Compiling
+    never calls this: ``allocate`` takes the root's planned height, which
+    equals it.
     """
     if pe_ids is None:
         pe_ids = active_ids(pes)

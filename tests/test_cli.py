@@ -1,6 +1,10 @@
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -403,3 +407,13 @@ def test_fuzz_reports_hard_faults_and_goes_on(monkeypatch):
         "iter 6: ap1 | ap0 & (ap1 U[0,3] ap0 | G[0,2] ap2): "
         "hard fault at event 7: Q1 bot offers leave cell 2 uncovered",
     ]
+
+
+def test_python_dash_m_mtlmon_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-m", "mtlmon", "fuzz", "--seed", "1", "--count", "3"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "passes: 3" in done.stdout.splitlines()

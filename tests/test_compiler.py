@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mtlmon import formula as F
-from mtlmon.bitstream import encode_program
+from mtlmon.bitstream import decode_program, encode_program
 from mtlmon.compiler import (
     EmNode,
     allocate,
@@ -15,7 +15,7 @@ from mtlmon.compiler import (
 )
 from mtlmon.errors import AllocationError, ParseError
 from mtlmon.oracle import oracle_verdicts
-from mtlmon.program import FabricConfig, PeConfig, QConfig
+from mtlmon.program import FabricConfig, PeConfig, QConfig, derive_latency
 from mtlmon.toolchain import (
     diff_verdicts,
     expected_emission,
@@ -119,6 +119,34 @@ def test_force_heads_validation():
         force_heads(root, {9: 3})
     with pytest.raises(AllocationError):
         force_heads(root, {3: 1})  # below the diamond's minimum
+
+
+def _assert_heights_add_up(root):
+    for node in bfs_order(root):
+        tallest = max((kid.height for kid in node.children()), default=0)
+        assert node.height == node.head + 1 + tallest
+
+
+def test_the_planned_height_is_the_latency_with_and_without_forced_heads():
+    # Every node's height is head + 1 + its tallest child's, after plan and
+    # after force_heads, and the root's is the latency that the records,
+    # compiled or decoded, derive. Every other formula has 1-3 forced heads.
+    cfg = FabricConfig(256, 256, 16, 4096)
+    rng = random.Random(26)
+    for i in range(400):
+        f = random_formula(rng, rng.randint(1, 6), 8)
+        root = plan(f)
+        _assert_heights_add_up(root)
+        forced = {}
+        if i % 2:
+            order = bfs_order(root)
+            for node in rng.sample(order, min(len(order), rng.randint(1, 3))):
+                forced[node.em_index] = node.min_head + rng.randint(0, 6)
+            force_heads(root, forced)
+            _assert_heights_add_up(root)
+        program = compile_formula(f, cfg, forced)
+        assert program.latency == root.height == derive_latency(program.pes, program.qs)
+        assert decode_program(encode_program(program), cfg).latency == program.latency
 
 
 # -- allocation ------------------------------------------------------------------

@@ -346,15 +346,15 @@ def _count_calls(monkeypatch, names):
 
 
 def test_text_to_latch_resolves_once_and_derives_the_latency_once_a_step(monkeypatch):
-    # Compiling records each port's que as it lowers and resolves nothing;
-    # loading resolves once in the decoder, which hands the resolution and
-    # the latency on to the latch.
+    # Compiling takes the latency from the planned tree and resolves
+    # nothing; loading resolves once in the decoder, which hands the
+    # resolution and the latency on to the latch.
     cfg = FabricConfig(256, 256, 16, 4096)
     f = F.parse("G[0,3] (ap0 U[1,4] (X ap1 | F[0,2] !(ap2 & ap3)))")
     assert f.depth == 6
     counts = _count_calls(monkeypatch, ("resolve_operands", "derive_latency"))
     program = compile_formula(f, cfg)
-    assert counts == {"resolve_operands": 0, "derive_latency": 1}
+    assert counts == {"resolve_operands": 0, "derive_latency": 0}
     body = encode_program(program)
     counts.update(resolve_operands=0, derive_latency=0)
     fabric = Fabric(cfg)
@@ -363,8 +363,8 @@ def test_text_to_latch_resolves_once_and_derives_the_latency_once_a_step(monkeyp
     assert fabric.program == program and fabric.latency == program.latency
     monkeypatch.undo()
     assert program.latency == derive_latency(program.pes, program.qs)
-    assert program.sources == resolve_operands(program.pes, program.qs)
-    assert fabric.program.sources == program.sources
+    assert program.sources is None
+    assert fabric.program.sources == resolve_operands(program.pes, program.qs)
 
 
 def test_a_que_cycle_beside_the_verdict_tree_loads_and_never_fires():
@@ -562,6 +562,17 @@ def test_hostile_bodies_are_rejected_at_load():
     with pytest.raises(AllocationError, match="writes que 7"):
         Fabric(HOSTILE_CFG).load(stray_writer_body())
 
+
+def test_a_rejected_body_leaves_the_port_open_and_drops_the_later_bytes():
+    # Its bytes have counted as programming cycles; the three bytes after it
+    # are neither shifted in nor a ProtocolError, and the next body latches
+    # without begin_reprogram.
+    fabric = Fabric(HOSTILE_CFG)
+    with pytest.raises(AllocationError, match=r"^PE0 writes que 7, n_q=6$"):
+        fabric.load(stray_writer_body() + bytes(3))
+    assert (fabric.mode, fabric.total_cycles) == ("programming", 26)
+    fabric.load(encode_program(compile_formula(F.parse("!ap0"), HOSTILE_CFG)))
+    assert (fabric.mode, fabric.total_cycles) == ("running", 52)
 
 def test_run_outcomes_of_hostile_bodies_are_pinned():
     # What the fabric makes of an arbitrary body is part of the contract:
