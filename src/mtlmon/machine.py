@@ -14,7 +14,8 @@ Shared-que stepping: ``group_offer``, the one offer rule, ORs the machines'
 offers (``writer`` tuples) per polarity, tests them with ``check_offers``,
 and ``que_offer`` digests them into the triple (top, both, rest) on which
 the que takes one cycle of ``que_run``: a warm-up phase that fills the que,
-then a full phase that deletes one cell a cycle. The fabric runs both
+then a full phase that deletes one cell a cycle. ``que_peek`` reads a que
+from its suspended generator, outside the rule. The fabric runs both
 rules too, so the order of the machines does not matter.
 Overlapping offers of one polarity are harmless; a cell offered both true
 and false is a hard fault.
@@ -143,10 +144,6 @@ def group_offer(writers: Sequence[tuple], reads: Sequence) -> Optional[tuple[int
     return que_offer(*offer)
 
 
-class _Peek(Exception):
-    """Thrown into a ``que_run`` generator to read its que; see ``que_peek``."""
-
-
 def _clash(cells: int) -> HardFault:
     return HardFault(f"top and bot offers both settle cell {(cells & -cells).bit_length() - 1}")
 
@@ -168,23 +165,21 @@ def que_run(head: int, que: tuple[int, int, int] = (0, 0, 0)) -> Generator:
     unknown cells of ``top`` true and of ``bot`` false, leaving the rest as
     they are; delete removes cell ``head`` once it exists, and deleting an
     unknown cell is a hard fault (a misprogrammed head). A fault ends the
-    generator. The three ints live in the generator's locals; ``que_peek``
-    reads them.
+    generator. The triple lives in the locals ``occ``, ``unknown`` and
+    ``value``, which ``que_peek`` reads while the generator is suspended;
+    the rule has no code for being read.
 
     The rule runs in two phases. Warm-up adds and modifies until the que
     holds ``head`` cells. Every reachable que enters with at most ``head``
     cells, so from then on it holds ``head`` before each cycle: the full
-    phase keeps no count, and the cell it deletes is the oldest.
+    phase keeps no count (``occ`` stays at ``head``, where warm-up left it),
+    and the cell it deletes is the oldest.
     """
     occ, unknown, value = que
     cell = 1 << head
     deleted = None
     while occ < head:
-        try:
-            top, both, rest = yield deleted
-        except _Peek:
-            deleted = occ, unknown, value
-            continue
+        top, both, rest = yield deleted
         occ += 1
         unknown = unknown << 1 | 1
         if both & unknown:
@@ -194,11 +189,7 @@ def que_run(head: int, que: tuple[int, int, int] = (0, 0, 0)) -> Generator:
         deleted = None
     keep = cell - 1
     while True:
-        try:
-            top, both, rest = yield deleted
-        except _Peek:
-            deleted = head, unknown, value
-            continue
+        top, both, rest = yield deleted
         unknown = unknown << 1 | 1
         if both & unknown:
             raise _clash(both & unknown)
@@ -211,9 +202,11 @@ def que_run(head: int, que: tuple[int, int, int] = (0, 0, 0)) -> Generator:
 
 
 def que_peek(run: Generator) -> "QueState":
-    """The que a primed ``que_run`` generator holds; its next ``send`` goes
-    on from there, as does a new ``que_run`` started from the triple."""
-    return QueState(*run.throw(_Peek()))
+    """The que a primed ``que_run`` generator holds, read from its suspended
+    frame's locals without resuming it; its next ``send`` goes on from
+    there, as does a new ``que_run`` started from the triple."""
+    local = run.gi_frame.f_locals
+    return QueState(local["occ"], local["unknown"], local["value"])
 
 
 @dataclass(frozen=True)

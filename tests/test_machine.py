@@ -120,6 +120,33 @@ def test_check_offers_names_the_lowest_gap_top_first():
         assert check_offers(bot, top) is None
 
 
+def test_a_gap_above_the_lowest_cell_is_found_from_the_first_run():
+    # Runs that start above cell 0: the first run is cleared by adding its
+    # lowest bit, not 1, so a gapless top passes and bot's gap is cell 2.
+    with pytest.raises(HardFault, match="^bot offers leave cell 2 uncovered$"):
+        check_offers(0b1010, 0b0110)
+    with pytest.raises(HardFault, match="^top offers leave cell 4 uncovered$"):
+        check_offers(0, 0b101100)
+    assert check_offers(0b11000, 0b00110) is None
+
+
+def test_a_clash_names_the_lowest_unknown_cell_offered_both_ways():
+    # The offers also cover a settled cell below the unknown one; only the
+    # unknown cell clashes, in warm-up and in the full phase.
+    for head, que in ((6, (2, 0b10, 0)), (4, (4, 0b100, 0))):
+        run = que_run(head, que)
+        next(run)
+        clash = (que[1] << 1 | 1) & 0b1110
+        with pytest.raises(HardFault, match=f"^top and bot offers both settle cell "
+                                            f"{clash.bit_length() - 1}$"):
+            run.send(que_offer(0b1110, 0b1110))
+
+
+def test_every_empty_interval_masks_no_cell():
+    for interval in ((1, 0), (2, 1), (3, 1), (7, 0)):
+        assert interval_mask(interval) == 0
+
+
 def test_a_que_restarted_from_its_peeked_state_steps_on_alike():
     # A que stepped on without a break and one restarted through que_run
     # from the peeked triple before every cycle: the same deleted value and
@@ -340,6 +367,23 @@ def test_the_shape_table_is_the_machines_without_a_head(kind):
             assert ams == em_build(kind, head, interval).ams
         assert [list(p) for p in ports] == stream_ports(ams)
     assert em_shape.cache_info().maxsize is not None  # bounded
+
+
+@pytest.mark.parametrize(
+    "kind", ["not", "and", "or", "implies", "wire", "next", "box", "diamond", "until"])
+def test_every_shape_writes_below_its_minimum_head_and_reaches_it(kind):
+    # em_shape's intervals end at or below min_head - 1, which allocate
+    # relies on when it copies them into PE records under a head of at
+    # least min_head; one of them ends exactly there, so the minimum is tight.
+    if kind in ("box", "diamond", "until"):
+        grid = [(t1, t2) for t2 in range(9) for t1 in range(t2 + 1)]
+    else:
+        grid = [None]
+    for interval in grid:
+        ams, _ = em_shape(kind, interval)
+        ends = [hi for am in ams for lo, hi in (am.top_interval, am.bot_interval) if lo <= hi]
+        top = min_head(kind, interval) - 1
+        assert ends and max(ends) == top, (kind, interval, ends)
 
 
 def test_build_rejects_small_head_and_bad_interval():
