@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import random
 import re
 import sys
@@ -13,6 +14,7 @@ from mtlmon.compiler import compile_formula
 from mtlmon.errors import IntervalError, ParseError
 from mtlmon.oracle import oracle_verdicts, satisfies
 from mtlmon.program import FabricConfig
+from mtlmon.toolchain import random_formula
 from mtlmon.trace import make_trace
 
 
@@ -255,6 +257,61 @@ def test_until_binds_tighter_than_and():
 def test_implies_right_associative():
     f = F.parse("ap0 -> ap1 -> ap2")
     assert f == F.Implies(F.AP(0), F.Implies(F.AP(1), F.AP(2)))
+
+
+def test_and_and_or_associate_to_the_left():
+    a, b, c = F.AP(0), F.AP(1), F.AP(2)
+    assert F.parse("ap0 & ap1 & ap2") == F.And(F.And(a, b), c)
+    assert F.parse("ap0 | ap1 | ap2") == F.Or(F.Or(a, b), c)
+    assert F.pretty(F.And(a, F.And(b, c))) == "ap0 & (ap1 & ap2)"
+    assert F.pretty(F.Or(a, F.Or(b, c))) == "ap0 | (ap1 | ap2)"
+
+
+def test_until_associates_to_the_right():
+    a, b, c = F.AP(0), F.AP(1), F.AP(2)
+    assert F.parse("ap0 U[0,1] ap1 U[0,2] ap2") == F.Until(a, F.Until(b, c, 0, 2), 0, 1)
+    assert F.pretty(F.Until(F.Until(a, b, 0, 1), c, 0, 2)) == "(ap0 U[0,1] ap1) U[0,2] ap2"
+
+
+# Characters an edit inserts or writes over: every token's characters, the
+# digits, the letters of the names, a space and one character outside the
+# grammar.
+_EDIT_CHARS = "()[],!&|->U0123456789apXGFtrue ?"
+
+
+def _edited(rng, text):
+    """text with 1-3 random one-character insertions, deletions or overwrites."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(chars) + 1)
+        how = rng.randrange(3)
+        if how == 0 or at == len(chars):
+            chars.insert(at, rng.choice(_EDIT_CHARS))
+        elif how == 1:
+            del chars[at]
+        else:
+            chars[at] = rng.choice(_EDIT_CHARS)
+    return "".join(chars)
+
+
+def test_parse_outcomes_are_pinned():
+    # 10,080 printed random formulas over depths 0-6 and t2 0-9, every other
+    # one edited: each parses to the same tree, or fails with the same error
+    # class, message and position, as when this pin was recorded.
+    rng = random.Random(29)
+    digest, errors = hashlib.sha256(), 0
+    for depth in range(7):
+        for t2 in range(10):
+            for k in range(144):
+                text = F.pretty(random_formula(rng, depth, t2))
+                try:
+                    outcome = repr(F.parse(_edited(rng, text) if k % 2 else text))
+                except ParseError as err:
+                    outcome = f"{type(err).__name__}: {err} {err.position}"
+                    errors += 1
+                digest.update(outcome.encode() + b"\n")
+    assert errors == 4714
+    assert digest.hexdigest() == "3f569105790713fa3ddcc2d71a648d9a0a149d30a7b681f9a6c8858c031b98d7"
 
 
 def test_semantic_future_examples():
