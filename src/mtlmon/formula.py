@@ -9,6 +9,9 @@ Concrete syntax
     precedence  {!, X, G, F}  >  U  >  &  >  |  >  ->
     grouping    ( ... );  -> and U associate to the right
 
+The table ``BINARY`` is the one statement of the binary operators' tokens,
+precedence and grouping; the parser and the printer both read it.
+
 Interval bounds are non-negative integers with a <= b (b finite). A node
 checks itself when it is built: a child that is not a Formula is a
 TypeError, a bad interval an IntervalError, and a negative AP index or an
@@ -18,9 +21,11 @@ default limit of 1000 frames; the parser also allows at most MAX_NESTING
 open parentheses. Each node records its nesting ``depth`` and its largest
 AP index ``top_ap`` as it checks itself. ``semantic_future`` counts how
 many future events a verdict depends on; it defines the range of trace
-positions on which a verdict is determined. The operator minimum heads and
-the monitor latency belong to the hardware and live in ``machine.min_head``
-and ``program.derive_latency``.
+positions on which a verdict is determined. The operator minimum heads
+belong to the hardware and live in ``machine.min_head``. A compiled
+program's latency is the height of its planned root (``compiler.plan``);
+``program.derive_latency`` recomputes it from the records when a body is
+decoded.
 """
 
 from __future__ import annotations
@@ -246,10 +251,13 @@ def constant_fold(f: Formula) -> Formula | bool:
 # Printer
 # ---------------------------------------------------------------------------
 
-# Binding strength; higher binds tighter. Unary operators are prefix and
-# tighter than everything binary.
-_PREC = {Implies: 1, Or: 2, And: 3, Until: 4}
-_UNARY_PREC = 5
+# The binary operators, loosest first: (token, node class, groups right).
+# A row's binding strength is its number from 1; the unary prefixes bind
+# tighter than every row.
+BINARY = (("->", Implies, True), ("|", Or, False), ("&", And, False), ("U", Until, True))
+_LAST = len(BINARY) - 1
+_BINARY_PREC = {op: (prec, token, right) for prec, (token, op, right) in enumerate(BINARY, 1)}
+_UNARY_PREC = len(BINARY) + 1
 
 
 def pretty(f: Formula) -> str:
@@ -270,15 +278,13 @@ def _pretty(f: Formula, parent_prec: int) -> str:
         return f"G[{f.lo},{f.hi}] " + _pretty(f.child, _UNARY_PREC)
     if isinstance(f, Diamond):
         return f"F[{f.lo},{f.hi}] " + _pretty(f.child, _UNARY_PREC)
-    prec = _PREC[type(f)]
-    sym = {And: "&", Or: "|", Implies: "->"}.get(type(f))
-    right_assoc = isinstance(f, (Implies, Until))
+    prec, sym, right = _BINARY_PREC[type(f)]
     if isinstance(f, Until):
         sym = f"U[{f.lo},{f.hi}]"
     # A chain re-parses without parens only on its associative side; the
     # other side must bind strictly tighter.
-    lp = prec + 1 if right_assoc else prec
-    rp = prec if right_assoc else prec + 1
+    lp = prec + 1 if right else prec
+    rp = prec if right else prec + 1
     text = f"{_pretty(f.left, lp)} {sym} {_pretty(f.right, rp)}"
     if prec < parent_prec:
         return "(" + text + ")"
@@ -349,40 +355,27 @@ class _Parser:
         _check_interval(lo, hi, pos)
         return lo, hi
 
-    # Operator chains are loops: the parser recurses only into parentheses.
-    def implies(self) -> Formula:
-        terms = [self.disjunction()]
-        while self.tokens[self.i][0] == "->":
-            self.next()
-            terms.append(self.disjunction())
-        f = terms.pop()
-        for left in reversed(terms):
-            f = Implies(left, f)
-        return f
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.tokens[self.i][0] == "|":
-            self.next()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.until()
-        while self.tokens[self.i][0] == "&":
-            self.next()
-            f = And(f, self.until())
-        return f
-
-    def until(self) -> Formula:
+    def binary(self, level: int = 0) -> Formula:
+        """A chain of row ``level``'s operator over chains of the next row,
+        or over unary terms below the last. One frame per row, none per
+        operator: the chain is a loop, folded to the right or the left as
+        the row says, so the parser recurses only into parentheses."""
+        token, op, right = BINARY[level]
+        f = self.binary(level + 1) if level < _LAST else self.unary()
+        if self.tokens[self.i][1] != token:
+            return f  # most operands are not chains; return before the loop
         lefts = []
-        f = self.unary()
-        while self.tokens[self.i][:2] == ("word", "U"):
-            self.next()
-            lefts.append((f, self.interval()))
-            f = self.unary()
-        for left, (lo, hi) in reversed(lefts):
-            f = Until(left, f, lo, hi)
+        while self.tokens[self.i][1] == token:
+            self.i += 1
+            interval = self.interval() if op is Until else ()
+            g = self.binary(level + 1) if level < _LAST else self.unary()
+            if right:
+                lefts.append((f, interval))
+                f = g
+            else:
+                f = op(f, g, *interval)
+        for left, interval in reversed(lefts):
+            f = op(left, f, *interval)
         return f
 
     def unary(self) -> Formula:
@@ -401,7 +394,7 @@ class _Parser:
             self.parens += 1
             if self.parens > MAX_NESTING:
                 raise ParseError(f"more than {MAX_NESTING} nested parentheses", pos)
-            f = self.implies()
+            f = self.binary()
             self.expect(")")
             self.parens -= 1
             return f
@@ -418,7 +411,7 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse the concrete syntax described in the module docstring."""
     p = _Parser(text)
-    f = p.implies()
+    f = p.binary()
     kind, value, pos = p.tokens[p.i]
     if kind != "eof":
         raise ParseError(f"unexpected trailing input {value!r}", pos)

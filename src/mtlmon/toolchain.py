@@ -26,8 +26,6 @@ Mismatch = tuple[int, bool | None, bool | None]
 
 @dataclass
 class RunReport:
-    formula_text: str
-    config: FabricConfig
     latency: int
     verdicts: list[tuple[int, bool]]
     mismatches: list[Mismatch]
@@ -113,20 +111,16 @@ def check_formula(
     comes first, so an AP the fabric lacks is an AllocationError."""
     _require_width(trace, config)
     parsed = F.parse(f) if isinstance(f, str) else f
-    text = F.pretty(parsed)
     compiled = compile_formula(parsed, config, forced_heads)
     reference = oracle_verdicts(parsed, trace)
     if isinstance(compiled, bool):
         times = range(len(reference))
         verdicts = [(t, compiled) for t in times]
         mism = diff_verdicts(verdicts, reference, times)
-        return RunReport(text, config, 0, verdicts, mism, 0, len(trace), constant=compiled)
+        return RunReport(0, verdicts, mism, 0, len(trace), constant=compiled)
     verdicts, fabric = run_program(compiled, trace)
     mism = _diff_program(verdicts, reference, len(trace), compiled.latency)
-    return RunReport(
-        text, config, compiled.latency, verdicts, mism,
-        fabric.programming_cycles, len(trace),
-    )
+    return RunReport(compiled.latency, verdicts, mism, fabric.programming_cycles, len(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +129,12 @@ def check_formula(
 
 # Operator draw weights: Boolean connectives 40% (split evenly), next 15%,
 # box 15%, diamond 15%, until 15% (t1 = 0 for half the untils, exercising
-# both of its machine realizations).
+# both of its machine realizations). The binary classes are the rows of the
+# formula table; the connectives come tightest first.
+_BINARY = tuple(op for _, op, _ in F.BINARY)
 _OPERATORS = (
-    ("not",) * 10 + ("and",) * 10 + ("or",) * 10 + ("implies",) * 10
-    + ("next",) * 15 + ("box",) * 15 + ("diamond",) * 15 + ("until",) * 15
+    (F.Not,) * 10 + tuple(op for op in reversed(_BINARY) if op is not F.Until for _ in range(10))
+    + (F.Next,) * 15 + (F.Box,) * 15 + (F.Diamond,) * 15 + (F.Until,) * 15
 )
 
 _AP_POOL = 4  # random formulas draw their atoms from ap0 .. ap3
@@ -146,48 +142,22 @@ _AP_POOL = 4  # random formulas draw their atoms from ap0 .. ap3
 
 def random_formula(rng: random.Random, max_depth: int, max_t2: int) -> F.Formula:
     """One random formula with operator nesting depth exactly bounded by
-    max_depth and a root that is always an operator."""
-
-    def leaf() -> F.Formula:
-        return F.AP(rng.randrange(_AP_POOL))
-
-    def interval() -> tuple[int, int]:
-        hi = rng.randint(0, max_t2)
-        lo = rng.randint(0, hi)
-        return lo, hi
+    max_depth and a root that is always an operator. A node draws its
+    class, then its interval, then its operands."""
 
     def gen(depth: int) -> F.Formula:
-        if depth == 0:
-            return leaf()
-        kind = rng.choice(_OPERATORS)
         # Subtrees may stop early so sizes vary, but never at the root.
-        def child() -> F.Formula:
-            if depth - 1 > 0 and rng.random() < 0.25:
-                return leaf()
-            return gen(depth - 1)
-
-        if kind == "not":
-            return F.Not(child())
-        if kind == "and":
-            return F.And(child(), child())
-        if kind == "or":
-            return F.Or(child(), child())
-        if kind == "implies":
-            return F.Implies(child(), child())
-        if kind == "next":
-            return F.Next(child())
-        if kind == "box":
-            lo, hi = interval()
-            return F.Box(child(), lo, hi)
-        if kind == "diamond":
-            lo, hi = interval()
-            return F.Diamond(child(), lo, hi)
-        hi = rng.randint(0, max_t2)
-        if hi >= 1 and rng.random() < 0.5:
-            lo = rng.randint(1, hi)
-        else:
-            lo = 0
-        return F.Until(child(), child(), lo, hi)
+        if depth == 0 or depth < max_depth and rng.random() < 0.25:
+            return F.AP(rng.randrange(_AP_POOL))
+        op = rng.choice(_OPERATORS)
+        interval = ()
+        if op in F.TEMPORAL:
+            hi = rng.randint(0, max_t2)
+            if op is not F.Until:
+                interval = (rng.randint(0, hi), hi)
+            else:
+                interval = (rng.randint(1, hi) if hi >= 1 and rng.random() < 0.5 else 0, hi)
+        return op(*[gen(depth - 1) for _ in range(1 + (op in _BINARY))], *interval)
 
     return gen(max_depth)
 

@@ -1,10 +1,11 @@
-"""Mutation check of ``machine``'s two rules: the offer rule and the que rule.
+"""Mutation check of ``machine``'s two rules (the offer rule and the que
+rule) and of ``formula``'s table of binary operators.
 
 Run it as ``python3 tests/mutants.py`` from the repository root (it takes no
 flags). It copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
 directory, then for each mutant below replaces one exact piece of source
-text there, runs ``pytest -x -q`` over the three test modules named in
-``TESTS``, and restores the file. It prints one line per mutant: killed,
+text there, runs ``pytest -x -q`` over the test modules that the mutant's
+target names, and restores the file. It prints one line per mutant: killed,
 survived, or equivalent with the reason it cannot be killed (those are not
 run). It exits 1 if any mutant survives, or if a mutant's text no longer
 occurs exactly once in its file.
@@ -25,10 +26,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MACHINE = "src/mtlmon/machine.py"
-TESTS = ("tests/test_machine.py", "tests/test_fabric.py", "tests/test_acceptance.py")
+# A target: the mutated file and the test modules its mutants run against.
+MACHINE = ("src/mtlmon/machine.py",
+           ("tests/test_machine.py", "tests/test_fabric.py", "tests/test_acceptance.py"))
+FORMULA = ("src/mtlmon/formula.py", ("tests/test_formula.py",))
 
-# (file, exact source text, replacement, None or the reason it is equivalent)
+# (target, exact source text, replacement, None or the reason it is equivalent)
 MUTANTS = [
     # que_run: the start and the warm-up phase
     (MACHINE, "    occ, unknown, value = que\n", "    occ, value, unknown = que\n", None),
@@ -97,6 +100,34 @@ MUTANTS = [
      "    return 0 if is_empty(interval) else (1 << hi) - (1 << lo)\n", None),
     (MACHINE, "    return 0 if is_empty(interval) else (1 << (hi + 1)) - (1 << lo)\n",
      "    return (1 << (hi + 1)) - (1 << lo)\n", None),
+    # formula: the table of binary operators, its grouping flags and row order
+    (FORMULA, '("->", Implies, True)', '("->", Implies, False)', None),
+    (FORMULA, '("|", Or, False)', '("|", Or, True)', None),
+    (FORMULA, '("&", And, False)', '("&", And, True)', None),
+    (FORMULA, '("U", Until, True)', '("U", Until, False)', None),
+    (FORMULA, '("->", Implies, True), ("|", Or, False)', '("|", Or, False), ("->", Implies, True)', None),
+    (FORMULA, '("|", Or, False), ("&", And, False)', '("&", And, False), ("|", Or, False)', None),
+    (FORMULA, '("&", And, False), ("U", Until, True)', '("U", Until, True), ("&", And, False)', None),
+    (FORMULA, "_LAST = len(BINARY) - 1\n", "_LAST = len(BINARY) - 2\n", None),
+    (FORMULA, "_LAST = len(BINARY) - 1\n", "_LAST = len(BINARY)\n", None),
+    (FORMULA, "_UNARY_PREC = len(BINARY) + 1\n", "_UNARY_PREC = len(BINARY)\n", None),
+    # formula: the printer
+    (FORMULA, "    lp = prec + 1 if right else prec\n", "    lp = prec if right else prec\n", None),
+    (FORMULA, "    rp = prec if right else prec + 1\n", "    rp = prec if right else prec\n", None),
+    (FORMULA, "    if prec < parent_prec:\n", "    if prec <= parent_prec:\n", None),
+    # formula: the chain parser
+    (FORMULA, "        if self.tokens[self.i][1] != token:\n            return f",
+     "        if self.tokens[self.i][0] != token:\n            return f", None),
+    (FORMULA, "        if self.tokens[self.i][1] != token:\n            return f  "
+     "# most operands are not chains; return before the loop\n", "",
+     "the loop's own test is the same, so without it only speed changes"),
+    (FORMULA, "        while self.tokens[self.i][1] == token:\n",
+     "        while self.tokens[self.i][0] == token:\n", None),
+    (FORMULA, "            interval = self.interval() if op is Until else ()\n",
+     "            interval = ()\n", None),
+    (FORMULA, "                f = op(f, g, *interval)\n", "                f = op(g, f, *interval)\n", None),
+    (FORMULA, "        for left, interval in reversed(lefts):\n",
+     "        for left, interval in lefts:\n", None),
 ]
 
 
@@ -119,17 +150,18 @@ def main() -> int:
             shutil.copytree(ROOT / part, tree / part, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", tree)
         env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
+        pytest = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        every_test = sorted({test for (_, tests), *_ in MUTANTS for test in tests})
         # The copy must be what the tests import, and it must pass unmutated.
         where = subprocess.run([sys.executable, "-c", "import mtlmon; print(mtlmon.__file__)"],
                                cwd=tree, env=env, capture_output=True, text=True).stdout
         if not Path(where.strip()).resolve().is_relative_to(tree.resolve()):
             print(f"the tests import mtlmon from {where.strip()!r}, not the copy")
             return 1
-        if subprocess.run(command, cwd=tree, env=env, capture_output=True).returncode:
+        if subprocess.run(pytest + every_test, cwd=tree, env=env, capture_output=True).returncode:
             print("the tests fail without a mutant")
             return 1
-        for number, (name, old, new, equivalent) in enumerate(MUTANTS, 1):
+        for number, ((name, tests), old, new, equivalent) in enumerate(MUTANTS, 1):
             path = tree / name
             source = path.read_text()
             label = f"{number:2} {name}: {describe(old, new)}"
@@ -143,7 +175,8 @@ def main() -> int:
             path.write_text(source.replace(old, new))
             try:
                 start = time.perf_counter()
-                run = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+                run = subprocess.run(pytest + list(tests), cwd=tree, env=env,
+                                     capture_output=True, text=True)
                 took = time.perf_counter() - start
             finally:
                 path.write_text(source)
