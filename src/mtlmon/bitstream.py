@@ -44,8 +44,7 @@ def encode_program(prog: MonitorProgram) -> bytes:
     for records, inactive, values, fields, width, kind in (
         (prog.pes, INACTIVE_PE, _pe_values, cfg.pe_fields, cfg.pe_bits, "PE"),
         (prog.qs, INACTIVE_Q, _q_values, cfg.q_fields, cfg.q_bits, "Q"),
-        (prog.routes, INACTIVE_ROUTE, lambda _, route: route, cfg.route_fields, cfg.route_bits,
-         "PE"),
+        (prog.routes, INACTIVE_ROUTE, _q_values, cfg.route_fields, cfg.route_bits, "PE"),
     ):
         for index, record in enumerate(records):
             if record is inactive:
@@ -63,14 +62,15 @@ def encode_program(prog: MonitorProgram) -> bytes:
 
 
 def _pe_values(pid: int, pe: PeConfig) -> tuple:
-    if pe.opcode not in OPCODE_BITS:
-        raise BitstreamError(f"PE{pid}: unknown opcode {pe.opcode!r}")
-    return (pe.is_active, pe.op0_from_que, pe.op1_from_que, OPCODE_BITS[pe.opcode],
-            pe.r_qid, *pe.top_interval, *pe.bot_interval)
+    active, src0, src1, opcode, r_qid, (top_lo, top_hi), (bot_lo, bot_hi) = pe
+    if opcode not in OPCODE_BITS:
+        raise BitstreamError(f"PE{pid}: unknown opcode {opcode!r}")
+    return active, src0, src1, OPCODE_BITS[opcode], r_qid, top_lo, top_hi, bot_lo, bot_hi
 
 
-def _q_values(_, q: QConfig) -> tuple:
-    return q.is_active, q.is_verdict, q.reader_pe, q.inp_no, q.head
+def _q_values(_, record: tuple) -> tuple:
+    """A que or route record's fields are its layout's, in order."""
+    return record
 
 
 def decode_program(data: bytes, cfg: FabricConfig) -> MonitorProgram:
@@ -88,8 +88,7 @@ def decode_program(data: bytes, cfg: FabricConfig) -> MonitorProgram:
     bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
     pe_layout, q_layout, route_layout = cfg.layouts
     pes, pe_ids, pos = _split(bits, 0, cfg.n_pe, pe_layout, INACTIVE_PE, _pe_record)
-    qs, q_ids, pos = _split(bits, pos, cfg.n_q, q_layout, INACTIVE_Q,
-                            lambda _, v: QConfig(v[0] == 1, v[1] == 1, v[2], v[3], v[4]))
+    qs, q_ids, pos = _split(bits, pos, cfg.n_q, q_layout, INACTIVE_Q, _q_record)
     routes, _, pos = _split(bits, pos, cfg.n_pe, route_layout, INACTIVE_ROUTE,
                             lambda _, v: tuple(v))
     if "1" in bits[pos:]:
@@ -130,9 +129,14 @@ def _pe_record(pid: int, v: list[int]) -> PeConfig:
         raise BitstreamError(f"PE{pid}: unknown opcode bits {opcode:03b}")
     # Canonicalize any lo > hi encoding to the sentinel so the
     # encode/decode roundtrip is an identity on canonical programs.
-    return PeConfig(active == 1, src0 == 1, src1 == 1, OPCODE_NAMES[opcode], r_qid,
-                    EMPTY_INTERVAL if top_lo > top_hi else (top_lo, top_hi),
-                    EMPTY_INTERVAL if bot_lo > bot_hi else (bot_lo, bot_hi))
+    return PeConfig._make((active == 1, src0 == 1, src1 == 1, OPCODE_NAMES[opcode], r_qid,
+                           EMPTY_INTERVAL if top_lo > top_hi else (top_lo, top_hi),
+                           EMPTY_INTERVAL if bot_lo > bot_hi else (bot_lo, bot_hi)))
+
+
+def _q_record(_, v: list[int]) -> QConfig:
+    active, verdict, reader_pe, inp_no, head = v
+    return QConfig._make((active == 1, verdict == 1, reader_pe, inp_no, head))
 
 
 def encode_file(prog: MonitorProgram) -> bytes:

@@ -200,15 +200,15 @@ def allocate(root: EmNode, cfg: FabricConfig) -> MonitorProgram:
         for operand, ports in zip(node.operands, streams):
             if isinstance(operand, EmNode):
                 m, slot = ports[0]
-                qs[operand.q_id] = QConfig(True, False, node.pe_ids[m], slot, operand.head)
+                qs[operand.q_id] = QConfig._make((True, False, node.pe_ids[m], slot, operand.head))
         for am, pe_id in zip(ams, node.pe_ids):
             op0 = node.operands[am.op0]
             op1 = 0 if am.op1 is None else node.operands[am.op1]  # slot 1 of a unary PE: route 0
             que0, que1 = isinstance(op0, EmNode), isinstance(op1, EmNode)
-            pes[pe_id] = PeConfig(True, que0, que1, am.opcode, q_id,
-                                  am.top_interval, am.bot_interval)
+            pes[pe_id] = PeConfig._make((True, que0, que1, am.opcode, q_id,
+                                         am.top_interval, am.bot_interval))
             routes[pe_id] = (0 if que0 else op0, 0 if que1 else op1)
-    qs[root.q_id] = QConfig(True, True, 0, 0, root.head)
+    qs[root.q_id] = QConfig._make((True, True, 0, 0, root.head))
 
     return MonitorProgram(cfg, tuple(pes), tuple(qs), tuple(routes), root.height,
                           (tuple(range(next_pe)), tuple(range(len(order))), None))

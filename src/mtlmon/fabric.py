@@ -110,17 +110,17 @@ class Fabric:
     def _latch(self, program: MonitorProgram) -> None:
         """Validate the decoded records and latch them as the datapath plan.
 
-        It works from what ``decode_program`` handed on: the active PE and
-        que ids, the operand sources and the latency, so it neither scans
-        every record nor resolves or derives again. One pass checks the
-        active PEs in pid order, then the active ques, and groups the
-        active PEs by result que. The plan holds one entry per driven que,
-        in ascending qid: (send, key, memo, writers), where ``send`` steps
-        the que's primed ``que_run`` generator, which ``_runs`` holds by
-        qid for ``que`` and fault messages. ``step`` reads one vector a
-        cycle: the event's AP values, then the last cycle's deliveries of
-        the driven ques in plan order, then a slot that is always None,
-        which is what a port routed from any other que reads.
+        It works from what ``decode_program`` handed on: the active PE and que
+        ids, the operand sources and the latency, so it neither scans every
+        record nor resolves or derives again. One pass checks the active PEs in
+        pid order and groups them by result que, then the active ques, each
+        reader against the que-reading ports the PE pass met. The plan holds
+        one entry per driven que, in ascending qid: (send, key, memo, writers),
+        where ``send`` steps the que's primed ``que_run`` generator, which
+        ``_runs`` holds by qid for ``que`` and fault messages. ``step`` reads
+        one vector a cycle: the event's AP values, then the last cycle's
+        deliveries of the driven ques in plan order, then a slot that is always
+        None, which is what a port routed from any other que reads.
         No port reads the verdict que's slot (``resolve_operands`` never
         sources one from it); ``step`` emits its value.
         ``key`` is an itemgetter over the vector slots the que's writers
@@ -138,49 +138,43 @@ class Fabric:
         none_slot = n_ap + len(driven)
         slot_of = {qid: n_ap + pos for pos, qid in enumerate(driven)}
         writers: dict[int, list] = {}
+        que_ports = set()  # the (pid, slot) ports that read a que
         for pid in pe_ids:
-            pe = pes[pid]
-            if pe.r_qid >= cfg.n_q:
-                raise AllocationError(f"PE{pid} writes que {pe.r_qid}, n_q={cfg.n_q}")
-            if not qs[pe.r_qid].is_active:
-                raise AllocationError(f"PE{pid} writes inactive que {pe.r_qid}")
-            for name, (lo, hi) in (("top", pe.top_interval), ("bot", pe.bot_interval)):
+            _, src0, src1, opcode, r_qid, top, bot = pes[pid]
+            if r_qid >= cfg.n_q:
+                raise AllocationError(f"PE{pid} writes que {r_qid}, n_q={cfg.n_q}")
+            if not qs[r_qid].is_active:
+                raise AllocationError(f"PE{pid} writes inactive que {r_qid}")
+            for name, (lo, hi) in (("top", top), ("bot", bot)):
                 if lo <= hi and hi >= cfg.q_sz:
                     raise AllocationError(f"PE{pid} {name} interval {lo, hi} exceeds que size")
             ports = []
-            from_que = pe.op0_from_que, pe.op1_from_que
-            for slot in range(OPCODE_ARITY[pe.opcode]):
+            from_que = src0, src1
+            for slot in range(OPCODE_ARITY[opcode]):
                 if from_que[slot]:
+                    que_ports.add((pid, slot))
                     ports.append(slot_of.get(sources[(pid, slot)], none_slot))
                     continue
                 ap = program.routes[pid][slot]
                 if ap >= n_ap:
                     raise AllocationError(f"PE{pid} operand {slot} reads ap{ap}, n_ap={n_ap}")
                 ports.append(ap)
-            writers.setdefault(pe.r_qid, []).append(
-                writer(pe.opcode, ports[0], ports[-1], pe.top_interval, pe.bot_interval))
+            writers.setdefault(r_qid, []).append(writer(opcode, ports[0], ports[-1], top, bot))
+        verdict = None
         for qid in q_ids:
-            q = qs[qid]
-            if q.head >= cfg.q_sz:
-                raise AllocationError(f"Q{qid} head {q.head} exceeds que size {cfg.q_sz}")
-            if q.is_verdict:
-                continue
-            pid, slot = q.reader_pe, q.inp_no
-            pe = pes[pid] if pid < cfg.n_pe else None
-            if (
-                pe is None
-                or not pe.is_active
-                or slot >= OPCODE_ARITY[pe.opcode]
-                or not (pe.op0_from_que, pe.op1_from_que)[slot]
-            ):
+            _, is_verdict, pid, slot, head = qs[qid]
+            if head >= cfg.q_sz:
+                raise AllocationError(f"Q{qid} head {head} exceeds que size {cfg.q_sz}")
+            if is_verdict:
+                verdict = qid
+            elif (pid, slot) not in que_ports:
                 raise AllocationError(
                     f"Q{qid} names reader PE{pid}.{slot}, which does not take que input"
                 )
         self.latency = program.latency
         self.program = program
-        self._verdict = next(
-            (pos for pos, qid in enumerate(driven) if qs[qid].is_verdict), len(driven)
-        )
+        # The verdict que's place in plan order, or the always-None slot's.
+        self._verdict = slot_of.get(verdict, none_slot) - n_ap
         self._plan = []
         self._runs = {}
         for qid, ws in sorted(writers.items()):

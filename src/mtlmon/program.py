@@ -1,7 +1,10 @@
 """Hardware-level monitor configuration records.
 
-These mirror the fabric's programming registers field for field. A PE record
-has no mod-enable flags: a polarity that must never modify carries
+The PE and que records are named tuples that mirror the fabric's programming
+registers field for field, in bitstream order. They are built with ``_make``
+(half the cost of a call of the class), unpacked by a pass that reads four or
+more of their fields, and copied with ``record._replace(...)``.
+A PE record has no mod-enable flags: a polarity that must never modify carries
 ``machine.EMPTY_INTERVAL`` (1, 0) instead, which the que skips, as the
 ``em_shape`` machine it lowers does.
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import AllocationError
 from .machine import OPCODE_ARITY, em_shape
@@ -102,8 +106,7 @@ class FabricConfig:
         return (self.body_bits + 7) // 8
 
 
-@dataclass(frozen=True)
-class PeConfig:
+class PeConfig(NamedTuple):
     is_active: bool
     op0_from_que: bool
     op1_from_que: bool
@@ -113,8 +116,7 @@ class PeConfig:
     bot_interval: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class QConfig:
+class QConfig(NamedTuple):
     is_active: bool
     is_verdict: bool
     reader_pe: int
@@ -283,11 +285,11 @@ def derive_latency(
     # feeds[q]: the ques read by the PEs that write q.
     feeds: dict[int, set[int]] = {}
     for pid in pe_ids:
-        pe = pes[pid]
-        if pe.op0_from_que:
-            feeds.setdefault(pe.r_qid, set()).add(sources[(pid, 0)])
-        if pe.op1_from_que and OPCODE_ARITY[pe.opcode] == 2:
-            feeds.setdefault(pe.r_qid, set()).add(sources[(pid, 1)])
+        _, src0, src1, opcode, r_qid, _, _ = pes[pid]
+        if src0:
+            feeds.setdefault(r_qid, set()).add(sources[(pid, 0)])
+        if src1 and OPCODE_ARITY[opcode] == 2:
+            feeds.setdefault(r_qid, set()).add(sources[(pid, 1)])
     root = next((qid for qid in q_ids if qs[qid].is_verdict), None)
     latency = 0
     todo = [] if root is None else [(root, 0)]

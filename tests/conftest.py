@@ -119,7 +119,7 @@ def second_verdict_body() -> bytes:
 def stray_writer_body() -> bytes:
     """The body of !ap0 on HOSTILE_CFG with PE0 writing que 7 (n_q is 6)."""
     program = compile_formula(F.parse("!ap0"), HOSTILE_CFG)
-    pes = (dataclasses.replace(program.pes[0], r_qid=7),) + program.pes[1:]
+    pes = (program.pes[0]._replace(r_qid=7),) + program.pes[1:]
     return encode_program(dataclasses.replace(program, pes=pes))
 
 
@@ -130,7 +130,7 @@ def faulting_body() -> bytes:
     program = compile_formula(F.parse("G[0,4] ap0"), HOSTILE_CFG)
     vq = next(qid for qid, q in enumerate(program.qs) if q.is_active and q.is_verdict)
     qs = list(program.qs)
-    qs[vq] = dataclasses.replace(qs[vq], head=0)
+    qs[vq] = qs[vq]._replace(head=0)
     return encode_program(dataclasses.replace(program, qs=tuple(qs)))
 
 
@@ -139,7 +139,7 @@ def gap_body() -> bytes:
     cut to (0, 0): it loads, then its bottom offers leave cell 1 uncovered
     on the first event with ap0 and ap1 both clear."""
     program = compile_formula(F.parse("ap0 U[2,4] ap1"), HOSTILE_CFG)
-    pes = (dataclasses.replace(program.pes[0], bot_interval=(0, 0)),) + program.pes[1:]
+    pes = (program.pes[0]._replace(bot_interval=(0, 0)),) + program.pes[1:]
     return encode_program(dataclasses.replace(program, pes=pes))
 
 
@@ -149,9 +149,9 @@ def two_faults_body() -> bytes:
     writes Q0: it loads, then both child ques delete an unresolved cell on
     the first event with ap0 and ap1 set."""
     program = compile_formula(F.parse("G[0,4] ap0 & G[0,4] ap1"), HOSTILE_CFG)
-    q0, q1 = (dataclasses.replace(q, head=0) for q in program.qs[:2])
+    q0, q1 = (q._replace(head=0) for q in program.qs[:2])
     p0, p1 = program.pes[:2]
-    pes = (dataclasses.replace(p0, r_qid=p1.r_qid), dataclasses.replace(p1, r_qid=p0.r_qid))
+    pes = (p0._replace(r_qid=p1.r_qid), p1._replace(r_qid=p0.r_qid))
     return encode_program(dataclasses.replace(
         program, pes=pes + program.pes[2:], qs=(q1, q0) + program.qs[2:]))
 

@@ -1,5 +1,7 @@
 """Mutation check of ``machine``'s two rules (the offer rule and the que
-rule) and of ``formula``'s table of binary operators.
+rule), of ``formula``'s table of binary operators, and of the passes that
+unpack PE and que records by position: the bitstream codec, the latency
+derivation and the fabric's latch checks.
 
 Run it as ``python3 tests/mutants.py`` from the repository root (it takes no
 flags). It copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
@@ -30,6 +32,9 @@ ROOT = Path(__file__).resolve().parent.parent
 MACHINE = ("src/mtlmon/machine.py",
            ("tests/test_machine.py", "tests/test_fabric.py", "tests/test_acceptance.py"))
 FORMULA = ("src/mtlmon/formula.py", ("tests/test_formula.py",))
+BITSTREAM = ("src/mtlmon/bitstream.py", ("tests/test_bitstream.py",))
+PROGRAM = ("src/mtlmon/program.py", ("tests/test_bitstream.py", "tests/test_fabric.py"))
+FABRIC = ("src/mtlmon/fabric.py", ("tests/test_fabric.py",))
 
 # (target, exact source text, replacement, None or the reason it is equivalent)
 MUTANTS = [
@@ -128,6 +133,50 @@ MUTANTS = [
     (FORMULA, "                f = op(f, g, *interval)\n", "                f = op(g, f, *interval)\n", None),
     (FORMULA, "        for left, interval in reversed(lefts):\n",
      "        for left, interval in lefts:\n", None),
+    # bitstream: the encoder's and the decoder's unpacking, and the padding check
+    (BITSTREAM, "    active, src0, src1, opcode, r_qid, (top_lo, top_hi), (bot_lo, bot_hi) = pe\n",
+     "    active, src1, src0, opcode, r_qid, (top_lo, top_hi), (bot_lo, bot_hi) = pe\n", None),
+    (BITSTREAM, "    active, src0, src1, opcode, r_qid, (top_lo, top_hi), (bot_lo, bot_hi) = pe\n",
+     "    active, src0, src1, opcode, r_qid, (bot_lo, bot_hi), (top_lo, top_hi) = pe\n", None),
+    (BITSTREAM, "    active, src0, src1, opcode, r_qid, (top_lo, top_hi), (bot_lo, bot_hi) = pe\n",
+     "    active, src0, src1, opcode, r_qid, (top_hi, top_lo), (bot_lo, bot_hi) = pe\n", None),
+    (BITSTREAM, "    active, src0, src1, opcode, r_qid, (top_lo, top_hi), (bot_lo, bot_hi) = pe\n",
+     "    active, src0, src1, opcode, r_qid, (top_lo, top_hi), (bot_hi, bot_lo) = pe\n", None),
+    (BITSTREAM, "    active, src0, src1, opcode, r_qid, top_lo, top_hi, bot_lo, bot_hi = v\n",
+     "    active, src1, src0, opcode, r_qid, top_lo, top_hi, bot_lo, bot_hi = v\n", None),
+    (BITSTREAM, "    active, src0, src1, opcode, r_qid, top_lo, top_hi, bot_lo, bot_hi = v\n",
+     "    active, src0, src1, opcode, r_qid, bot_lo, bot_hi, top_lo, top_hi = v\n", None),
+    (BITSTREAM, "    active, src0, src1, opcode, r_qid, top_lo, top_hi, bot_lo, bot_hi = v\n",
+     "    active, src0, src1, opcode, r_qid, top_hi, top_lo, bot_lo, bot_hi = v\n", None),
+    (BITSTREAM, "    active, src0, src1, opcode, r_qid, top_lo, top_hi, bot_lo, bot_hi = v\n",
+     "    active, src0, src1, opcode, r_qid, top_lo, top_hi, bot_hi, bot_lo = v\n", None),
+    (BITSTREAM, "    active, verdict, reader_pe, inp_no, head = v\n",
+     "    verdict, active, reader_pe, inp_no, head = v\n", None),
+    (BITSTREAM, "    active, verdict, reader_pe, inp_no, head = v\n",
+     "    active, verdict, inp_no, reader_pe, head = v\n", None),
+    (BITSTREAM, '    if "1" in bits[pos:]:\n', '    if "1" in bits[pos + 1:]:\n', None),
+    (BITSTREAM, '    if "1" in bits[pos:]:\n        raise BitstreamError("nonzero padding bits")\n', "", None),
+    # program.derive_latency
+    (PROGRAM, "        _, src0, src1, opcode, r_qid, _, _ = pes[pid]\n        if src0:\n",
+     "        _, src1, src0, opcode, r_qid, _, _ = pes[pid]\n        if src0:\n", None),
+    (PROGRAM, "        if src1 and OPCODE_ARITY[opcode] == 2:\n", "        if src1:\n", None),
+    (PROGRAM, "        depth = above + qs[qid].head + 1\n", "        depth = above + qs[qid].head\n", None),
+    # fabric._latch: its unpacking and each of its >= bounds
+    (FABRIC, "            _, src0, src1, opcode, r_qid, top, bot = pes[pid]\n",
+     "            _, src1, src0, opcode, r_qid, top, bot = pes[pid]\n", None),
+    (FABRIC, "            _, src0, src1, opcode, r_qid, top, bot = pes[pid]\n",
+     "            _, src0, src1, opcode, r_qid, bot, top = pes[pid]\n", None),
+    (FABRIC, '            for name, (lo, hi) in (("top", top), ("bot", bot)):\n',
+     '            for name, (hi, lo) in (("top", top), ("bot", bot)):\n', None),
+    (FABRIC, "            _, is_verdict, pid, slot, head = qs[qid]\n",
+     "            is_verdict, _, pid, slot, head = qs[qid]\n", None),
+    (FABRIC, "            _, is_verdict, pid, slot, head = qs[qid]\n",
+     "            _, is_verdict, slot, pid, head = qs[qid]\n", None),
+    (FABRIC, "            if r_qid >= cfg.n_q:\n", "            if r_qid > cfg.n_q:\n", None),
+    (FABRIC, "                if lo <= hi and hi >= cfg.q_sz:\n",
+     "                if lo <= hi and hi > cfg.q_sz:\n", None),
+    (FABRIC, "            if head >= cfg.q_sz:\n", "            if head > cfg.q_sz:\n", None),
+    (FABRIC, "                if ap >= n_ap:\n", "                if ap > n_ap:\n", None),
 ]
 
 

@@ -104,8 +104,8 @@ def test_equal_copies_of_the_inactive_records_encode_like_the_shared_ones():
     program = compile_formula(F.parse("ap0 U[1,3] (ap1 & X ap2)"), cfg)
     copied = MonitorProgram(
         cfg,
-        tuple(dataclasses.replace(pe) if pe is INACTIVE_PE else pe for pe in program.pes),
-        tuple(dataclasses.replace(q) if q is INACTIVE_Q else q for q in program.qs),
+        tuple(pe._replace() if pe is INACTIVE_PE else pe for pe in program.pes),
+        tuple(q._replace() if q is INACTIVE_Q else q for q in program.qs),
         tuple(tuple([*r]) if r is INACTIVE_ROUTE else r for r in program.routes),
         program.latency,
     )
@@ -153,7 +153,7 @@ def test_field_overflow_is_rejected():
     cfg = FabricConfig(4, 4, 8, 16)
     program = compile_formula(F.Not(F.AP(0)), cfg)
     pes = list(program.pes)
-    pes[3] = dataclasses.replace(pes[3], r_qid=9)  # needs 4 bits, field has 2
+    pes[3] = pes[3]._replace(r_qid=9)  # needs 4 bits, field has 2
     broken = dataclasses.replace(program, pes=tuple(pes))
     with pytest.raises(BitstreamError, match="overflow"):
         encode_program(broken)
@@ -215,10 +215,57 @@ def test_the_last_records_of_a_large_fabric_roundtrip():
     program = MonitorProgram(cfg, pes, qs, routes, derive_latency(pes, qs))
     body = encode_program(program)
     assert decode_program(body, cfg) == program
-    wide = dataclasses.replace(pes[255], r_qid=256)
+    wide = pes[255]._replace(r_qid=256)
     with pytest.raises(BitstreamError, match="^value 256 overflows 8-bit field PE255.r_qid$"):
         encode_program(dataclasses.replace(program, pes=pes[:255] + (wide,)))
 
+
+def test_each_record_field_sits_where_its_layout_says():
+    # The codec and the fabric unpack records by position, so a field that
+    # moved would silently read as its neighbour. Each record's fields map,
+    # in order, onto its FabricConfig layout: a PE's opcode by name, each of
+    # its intervals as one (lo, hi) pair.
+    cfg = FabricConfig(8, 8, 4, 64)
+    q_names = [name for name, _ in cfg.q_fields]
+    assert list(zip(QConfig._fields, q_names, strict=True)) == [
+        ("is_active", "isActive"), ("is_verdict", "isVerdict"), ("reader_pe", "readerPE"),
+        ("inp_no", "inp_no"), ("head", "head"),
+    ]
+    pe_names = [name for name, _ in cfg.pe_fields]
+    grouped = pe_names[:5] + [tuple(pe_names[5:7]), tuple(pe_names[7:])]
+    assert list(zip(PeConfig._fields, grouped, strict=True)) == [
+        ("is_active", "isActive"), ("op0_from_que", "op0Src"), ("op1_from_que", "op1Src"),
+        ("opcode", "opcode"), ("r_qid", "r_qid"),
+        ("top_interval", ("top.lo", "top.hi")), ("bot_interval", ("bot.lo", "bot.hi")),
+    ]
+    # PE2 (implies) reads ap2 and Q3 and writes the verdict que Q6; every
+    # field that can differ from its neighbours does.
+    pe = PeConfig(True, False, True, "implies", 6, (3, 9), (12, 40))
+    q = QConfig(True, False, 2, 1, 13)
+    pes = (INACTIVE_PE,) * 2 + (pe,) + (INACTIVE_PE,) * 5
+    qs = (INACTIVE_Q,) * 3 + (q,) + (INACTIVE_Q,) * 2 + (QConfig(True, True, 0, 0, 5), INACTIVE_Q)
+    routes = (INACTIVE_ROUTE,) * 2 + ((2, 1),) + (INACTIVE_ROUTE,) * 5
+    latency = derive_latency(pes, qs)
+    assert latency == (5 + 1) + (13 + 1)  # Q6's height plus Q3's, which feeds PE2
+    program = MonitorProgram(cfg, pes, qs, routes, latency)
+    body = encode_program(program)
+    bits = format(int.from_bytes(body, "big"), f"0{8 * len(body)}b")
+
+    def packed(values, fields):
+        return "".join(format(v, f"0{w}b") for v, (_, w) in zip(values, fields, strict=True))
+
+    q_start = cfg.n_pe * cfg.pe_bits
+    route_start = q_start + cfg.n_q * cfg.q_bits
+    expected = {
+        2 * cfg.pe_bits: packed((1, 0, 1, 4, 6, 3, 9, 12, 40), cfg.pe_fields),
+        q_start + 3 * cfg.q_bits: packed((1, 0, 2, 1, 13), cfg.q_fields),
+        q_start + 6 * cfg.q_bits: packed((1, 1, 0, 0, 5), cfg.q_fields),
+        route_start + 2 * cfg.route_bits: packed((2, 1), cfg.route_fields),
+    }
+    for start, word in expected.items():
+        assert bits[start:start + len(word)] == word, start
+    assert bits.count("1") == sum(word.count("1") for word in expected.values())
+    assert decode_program(body, cfg) == program
 
 def test_header_validation():
     program = compile_formula(F.Not(F.AP(0)), FabricConfig(4, 4, 4, 16))

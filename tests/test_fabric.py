@@ -376,8 +376,8 @@ def test_a_que_cycle_beside_the_verdict_tree_loads_and_never_fires():
     wire = PeConfig(True, False, False, "wire", 0, (0, 0), (0, 0))
     pes = (
         wire,
-        dataclasses.replace(wire, op0_from_que=True, r_qid=1),
-        dataclasses.replace(wire, op0_from_que=True, opcode="not", r_qid=2),
+        wire._replace(op0_from_que=True, r_qid=1),
+        wire._replace(op0_from_que=True, opcode="not", r_qid=2),
     ) + (INACTIVE_PE,) * (cfg.n_pe - 3)
     qs = (
         QConfig(True, True, 0, 0, 1),
@@ -423,7 +423,7 @@ def test_wide_window_agrees_with_the_oracle():
 
 def _tamper(program, qid, **changes):
     qs = list(program.qs)
-    qs[qid] = dataclasses.replace(qs[qid], **changes)
+    qs[qid] = qs[qid]._replace(**changes)
     return dataclasses.replace(program, qs=tuple(qs))
 
 
